@@ -22,7 +22,9 @@ let scaled n = if !smoke then max 1 (n / 20) else n
    Methodology: each operation is timed over a fixed iteration count on
    freshly built state, repeated [b1_reps] times; the reported ns/op is the
    MINIMUM over reps and [spread] is max/min across reps (a noise
-   indicator; ~1.0x = quiet machine). The minimum is the right estimator
+   indicator; ~1.0x = quiet machine). [words/op] is the minor-heap
+   allocation per operation ([Gc.minor_words]), which unlike the clock is
+   deterministic: every rep starts from identical fresh state. The minimum is the right estimator
    here because every source of noise — GC pauses, allocator growth,
    scheduling — is strictly additive. Regression-based estimators (OLS over
    a growing-iteration quota) proved unusable for these workloads: the
@@ -95,31 +97,38 @@ let b1_ops =
 let b1_reps = 7
 
 let time_ns ~iters setup =
-  let best = ref infinity and worst = ref 0.0 in
+  let best = ref infinity and worst = ref 0.0 and words = ref 0.0 in
   for _ = 1 to b1_reps do
     let f = setup () in
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
       f ()
     done;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+    words := (Gc.minor_words () -. w0) /. float_of_int iters;
     if ns < !best then best := ns;
     if ns > !worst then worst := ns
   done;
-  (!best, !worst /. !best)
+  (!best, !worst /. !best, !words)
 
 let run_b1 () =
   let iters = scaled 30_000 in
   let t =
     Table.create
       ~title:"B1: queue-manager operation costs (paper 10: main-memory DB + log)"
-      ~columns:[ "operation"; "ns/op"; "spread" ]
+      ~columns:[ "operation"; "ns/op"; "spread"; "words/op" ]
   in
   List.iter
     (fun (name, setup) ->
-      let ns, spread = time_ns ~iters setup in
+      let ns, spread, words = time_ns ~iters setup in
       Table.add_row t
-        [ "B1 " ^ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.2f" spread ])
+        [
+          "B1 " ^ name;
+          Printf.sprintf "%.0f" ns;
+          Printf.sprintf "%.2f" spread;
+          Printf.sprintf "%.0f" words;
+        ])
     b1_ops;
   t
 

@@ -221,7 +221,7 @@ let layers =
     };
     {
       l_mod = "Wal";
-      l_funcs = [ "append"; "append_sync"; "sync"; "checkpoint" ];
+      l_funcs = [ "append"; "append_enc"; "append_sync"; "sync"; "checkpoint" ];
       l_allowed = rm_dirs;
       l_what = "raw WAL mutation";
       l_hint =
@@ -231,7 +231,7 @@ let layers =
     };
     {
       l_mod = "Group_commit";
-      l_funcs = [ "append"; "append_force"; "force" ];
+      l_funcs = [ "append"; "append_enc"; "append_force"; "force" ];
       l_allowed = rm_dirs;
       l_what = "raw group-commit append/force";
       l_hint =

@@ -28,10 +28,14 @@ let make ~eid ~payload ~props ~priority ~enq_time =
 let prop t name = List.assoc_opt name t.props
 let key t = (-t.priority, t.enq_time, t.eid)
 
+let encode_prop e (k, v) =
+  Codec.string e k;
+  Codec.string e v
+
 let encode e t =
   Codec.i64 e t.eid;
   Codec.string e t.payload;
-  Codec.list (Codec.pair Codec.string Codec.string) e t.props;
+  Codec.list encode_prop e t.props;
   Codec.int e t.priority;
   Codec.float e t.enq_time;
   Codec.int e t.delivery_count;

@@ -135,10 +135,6 @@ type t = {
   mutable clock : unit -> float;
   mutable internal_seq : float;
   mutable auto_n : int;
-  (* Reused by the main-memory commit encode: one buffer per QM instead of
-     one fresh encoder + string per record. Commit paths fill and hand it
-     to [Group_commit.append_enc] without yielding in between. *)
-  scratch : Codec.encoder;
   auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
   (* Page image buffer for the stable queue store's read-modify-write. *)
   page : Bytes.t;
@@ -295,14 +291,6 @@ let k_prepare = 2
 let k_commit = 3
 let k_abort = 4
 let k_now = 5
-
-let encode_record kind txid_opt coordinator ops =
-  let e = Codec.encoder () in
-  Codec.u8 e kind;
-  Codec.option Txid.encode e txid_opt;
-  Codec.string e coordinator;
-  Codec.list encode_ws_op e ops;
-  Codec.to_string e
 
 let decode_record payload =
   let d = Codec.decoder payload in
@@ -557,27 +545,20 @@ let redo_is_stable t = function
    re-resolved every op). Returns:
    - [any_volatile]: some op touches a volatile queue, so the logged set is
      a strict subset of [ops] (recomputed with {!redo_is_stable} — rare);
-   - [all_mm]: every op touches a main-memory queue, making the record
-     eligible for the zero-copy scratch encode;
    - [pages]: the element updates on [Stable] queues that owe an in-place
      queue-page write, with their queue resolved before any effect is
      applied (a dequeue's index entry is gone after apply). *)
 let classify_ops t ops =
   let any_volatile = ref false in
-  let all_mm = ref (ops <> []) in
   let pages = ref [] in
   let on_queue qn op =
     match Hashtbl.find_opt t.queues qn with
-    | None -> all_mm := false
+    | None -> ()
     | Some q -> begin
       match q.qattrs.durability with
       | Main_memory -> ()
-      | Volatile ->
-        any_volatile := true;
-        all_mm := false
-      | Stable ->
-        all_mm := false;
-        pages := (qn, op.op_redo) :: !pages
+      | Volatile -> any_volatile := true
+      | Stable -> pages := (qn, op.op_redo) :: !pages
     end
   in
   List.iter
@@ -587,12 +568,12 @@ let classify_ops t ops =
       | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> begin
         match Eidtbl.find_opt t.index eid with
         | Some (qn, _) -> on_queue qn op
-        | None -> all_mm := false
+        | None -> ()
       end
       | RCreate _ | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
-      | RDestroy _ | RSet_stopped _ | RAlter _ -> all_mm := false)
+      | RDestroy _ | RSet_stopped _ | RAlter _ -> ())
     ops;
-  (!any_volatile, !all_mm, List.rev !pages)
+  (!any_volatile, List.rev !pages)
 
 (* Disk-resident queue modeling (paper secs. 2 and 10): every committed
    element update on a [Stable] queue pays a read-modify-write of the
@@ -620,8 +601,9 @@ let store_write t pages =
       | None -> () (* queue destroyed in the same transaction *)
       | Some q ->
         let f = qstore_file t qn q in
-        let e = t.scratch in
-        Codec.reset e;
+        (* Borrow the log's scratch encoder for the page image: it is free
+           between records, and nothing here yields. *)
+        let e = Group_commit.encoder t.gc in
         (match redo with
         | REnq (_, el) ->
           Codec.u8 e 1;
@@ -649,24 +631,17 @@ let store_write t pages =
         Disk.write_page f t.page)
     pages
 
-(* Append one commit-point record, choosing the encode route. [all_mm]
-   records (only main-memory queues touched) are encoded into the QM's
-   scratch buffer and framed straight into the device's pending bytes — no
-   fresh encoder, no [to_string], no frame copy (this is what "no stable
-   read-back or copy on the hot path" buys in B1). Everything else keeps
-   the historical allocate-and-copy route. Both routes produce the same
-   record bytes, so replay cannot tell them apart. *)
-let append_record t kind txid_opt coordinator ops ~all_mm =
-  if all_mm then begin
-    let e = t.scratch in
-    Codec.reset e;
-    Codec.u8 e kind;
-    Codec.option Txid.encode e txid_opt;
-    Codec.string e coordinator;
-    Codec.list encode_ws_op e ops;
-    Group_commit.append_enc t.gc e
-  end
-  else Group_commit.append t.gc (encode_record kind txid_opt coordinator ops)
+(* Append one log record. Every record — prepare, commit, abort, one-phase
+   or immediate, on any queue class — is encoded into the log's reused
+   scratch encoder and framed straight into the device's pending bytes: no
+   fresh encoder, no [to_string], no frame copy. *)
+let append_record t kind txid_opt coordinator ops =
+  let e = Group_commit.encoder t.gc in
+  Codec.u8 e kind;
+  Codec.option Txid.encode e txid_opt;
+  Codec.string e coordinator;
+  Codec.list encode_ws_op e ops;
+  Group_commit.append_enc t.gc e
 
 (* ---- snapshot / recovery ------------------------------------------- *)
 
@@ -804,14 +779,14 @@ let relock_prepared t =
     t.prepared
 
 let log_now t ops =
-  let any_volatile, all_mm, pages = classify_ops t ops in
+  let any_volatile, pages = classify_ops t ops in
   let stable =
     if any_volatile then List.filter (fun op -> redo_is_stable t op.op_redo) ops
     else ops
   in
   (* Group-commit discipline: append, apply in memory without yielding, then
      force (which may park the fiber). *)
-  if stable <> [] then append_record t k_now None "" stable ~all_mm;
+  if stable <> [] then append_record t k_now None "" stable;
   List.iter (fun op -> apply t op.op_redo) ops;
   if stable <> [] then begin
     Group_commit.force t.gc;
@@ -842,7 +817,6 @@ let open_qm ?commit_policy ?(triggers = []) disk ~name:qm_name =
       clock = (fun () -> 0.0);
       internal_seq = 0.0;
       auto_n = 0;
-      scratch = Codec.encoder ();
       auto_origin = qm_name ^ "!auto";
       page = Bytes.make page_size '\000';
       ws_cache = None;
@@ -1193,13 +1167,13 @@ let commit_one_phase t id =
   | Some ws ->
     let ops = List.rev ws.ops in
     ws_remove t id;
-    let any_volatile, all_mm, pages = classify_ops t ops in
+    let any_volatile, pages = classify_ops t ops in
     let stable =
       if any_volatile then
         List.filter (fun op -> redo_is_stable t op.op_redo) ops
       else ops
     in
-    if stable <> [] then append_record t k_one_phase (Some id) "" stable ~all_mm;
+    if stable <> [] then append_record t k_one_phase (Some id) "" stable;
     List.iter (fun op -> apply t op.op_redo) ops;
     if stable <> [] then begin
       Group_commit.force t.gc;
@@ -1213,13 +1187,13 @@ let prepare t id ~coordinator =
   | Some ws ->
     let ops = List.rev ws.ops in
     ws_remove t id;
-    let any_volatile, all_mm, _pages = classify_ops t ops in
+    let any_volatile, _pages = classify_ops t ops in
     let stable =
       if any_volatile then
         List.filter (fun op -> redo_is_stable t op.op_redo) ops
       else ops
     in
-    append_record t k_prepare (Some id) coordinator stable ~all_mm;
+    append_record t k_prepare (Some id) coordinator stable;
     Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops };
     Group_commit.force t.gc;
     true
@@ -1230,8 +1204,8 @@ let commit_prepared t id =
   | Some p ->
     (* Page targets must be resolved before apply removes dequeued
        elements from the index. *)
-    let _, _, pages = classify_ops t p.p_ops in
-    Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
+    let _, pages = classify_ops t p.p_ops in
+    append_record t k_commit (Some id) "" [];
     List.iter (fun op -> apply t op.op_redo) p.p_ops;
     Hashtbl.remove t.prepared id;
     Group_commit.force t.gc;
@@ -1279,7 +1253,7 @@ let abort t id =
   | None -> ());
   (match Hashtbl.find_opt t.prepared id with
   | Some p ->
-    Group_commit.append t.gc (encode_record k_abort (Some id) "" []);
+    append_record t k_abort (Some id) "" [];
     Hashtbl.remove t.prepared id;
     restore p.p_ops;
     (* [restore]'s own force covers the abort record when there were

@@ -35,8 +35,7 @@
     but never logged, so they cost no forced writes and vanish on crash; and
     main-memory queues are fully recoverable but keep element payloads and
     queue order purely in memory — only their redo records hit the WAL,
-    through a zero-copy encode, and recovery rebuilds the queue from the
-    redo scan (the paper's §10 "queue as main-memory database" design). *)
+    and recovery rebuilds the queue from the redo scan (the paper's §10 "queue as main-memory database" design). *)
 
 type t
 

@@ -157,7 +157,12 @@ type t = {
   mutable fg_timers : int; (* non-background timers still in the heap *)
   mutable seq : int;
   mutable next_fid : int;
+  (* Newest first. Dead fibers are pruned whenever the table reaches
+     [prune_at] entries, which then doubles past the survivors: amortised
+     O(1) per spawn, and the table stays proportional to the live set. *)
   mutable fiber_table : fiber list;
+  mutable n_fibers : int;
+  mutable prune_at : int;
   mutable errors : (string * exn) list;
   pol : policy;
   prng : Rrq_util.Rng.t option; (* priority source for Random_priority *)
@@ -184,6 +189,8 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
     seq = 0;
     next_fid = 0;
     fiber_table = [];
+    n_fibers = 0;
+    prune_at = 64;
     errors = [];
     pol = policy;
     prng =
@@ -311,7 +318,13 @@ let yield () =
 let rec spawn t ?group ~name body =
   t.next_fid <- t.next_fid + 1;
   let fib = { fid = t.next_fid; name; group; live = true } in
+  if t.n_fibers >= t.prune_at then begin
+    t.fiber_table <- List.filter (fun f -> f.live) t.fiber_table;
+    t.n_fibers <- List.length t.fiber_table;
+    t.prune_at <- max 64 (2 * t.n_fibers)
+  end;
   t.fiber_table <- fib :: t.fiber_table;
+  t.n_fibers <- t.n_fibers + 1;
   push_ready t (fun () -> if fib.live then start t fib body);
   fib
 

@@ -1,5 +1,6 @@
 type file_state = {
   fname : string;
+  some_fname : string option; (* [Some fname], built once: appends note it *)
   mutable durable : Buffer.t;
   mutable pending : Buffer.t;
   owner : t;
@@ -54,7 +55,13 @@ let open_file t fname =
   | Some f -> f
   | None ->
     let f =
-      { fname; durable = Buffer.create 256; pending = Buffer.create 256; owner = t }
+      {
+        fname;
+        some_fname = Some fname;
+        durable = Buffer.create 256;
+        pending = Buffer.create 256;
+        owner = t;
+      }
     in
     Hashtbl.add t.files fname f;
     f
@@ -99,19 +106,19 @@ let allow_durability t =
 let append f bytes =
   if not f.owner.dead then begin
     Buffer.add_string f.pending bytes;
-    f.owner.last_appended <- Some f.fname
+    f.owner.last_appended <- f.some_fname
   end
 
 let append_i64 f v =
   if not f.owner.dead then begin
     Buffer.add_int64_le f.pending v;
-    f.owner.last_appended <- Some f.fname
+    f.owner.last_appended <- f.some_fname
   end
 
 let append_sub f buf ~pos ~len =
   if not f.owner.dead then begin
     Buffer.add_subbytes f.pending buf pos len;
-    f.owner.last_appended <- Some f.fname
+    f.owner.last_appended <- f.some_fname
   end
 
 (* Page-granular in-place file: its contents are exactly one page image,

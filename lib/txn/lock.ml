@@ -64,8 +64,7 @@ let held_set t tx =
 
 let note_held t tx key = Hashtbl.replace (held_set t tx) key ()
 
-let current_mode e tx =
-  List.assoc_opt tx (List.map (fun (x, m) -> (x, m)) e.granted)
+let current_mode e tx = List.assoc_opt tx e.granted
 
 let set_granted e tx mode =
   e.granted <- (tx, mode) :: List.filter (fun (x, _) -> not (Txid.equal x tx)) e.granted
@@ -238,7 +237,11 @@ let release_all t tx =
           | Some e ->
             e.granted <-
               List.filter (fun (x, _) -> not (Txid.equal x tx)) e.granted;
-            pump t e)
+            pump t e;
+            (* Drop idle entries: keys like [exec:<rid>] are locked once
+               each, and would otherwise stay in the table forever. *)
+            if e.granted = [] && e.waiting = [] then
+              Hashtbl.remove t.table key)
         keys);
     Hashtbl.remove t.held tx
   end

@@ -35,13 +35,15 @@ module Make (S : STATE) = struct
   let k_abort = 4
   let k_apply_now = 5
 
-  let encode_record kind txid_opt coordinator redos =
-    let e = Codec.encoder () in
+  (* Every record is encoded into the log's reused scratch encoder and
+     framed in place; see [Wal.append_enc]. *)
+  let append_record t kind txid_opt coordinator redos =
+    let e = Group_commit.encoder t.gc in
     Codec.u8 e kind;
     Codec.option Txid.encode e txid_opt;
     Codec.string e coordinator;
     Codec.list S.encode_redo e redos;
-    Codec.to_string e
+    Group_commit.append_enc t.gc e
 
   let decode_record payload =
     let d = Codec.decoder payload in
@@ -141,7 +143,7 @@ module Make (S : STATE) = struct
       Hashtbl.remove t.workspaces id;
       (* Group-commit discipline: append, apply in memory without yielding,
          then force (which may park the fiber) before acknowledging. *)
-      Group_commit.append t.gc (encode_record k_one_phase (Some id) "" redos);
+      append_record t k_one_phase (Some id) "" redos;
       List.iter (S.apply t.st) redos;
       Group_commit.force t.gc
 
@@ -151,8 +153,7 @@ module Make (S : STATE) = struct
     | Some ws ->
       let redos = List.rev !ws in
       Hashtbl.remove t.workspaces id;
-      Group_commit.append t.gc
-        (encode_record k_prepare (Some id) coordinator redos);
+      append_record t k_prepare (Some id) coordinator redos;
       Hashtbl.replace t.prepared_txns id { coordinator; redos };
       Group_commit.force t.gc;
       true
@@ -161,7 +162,7 @@ module Make (S : STATE) = struct
     match Hashtbl.find_opt t.prepared_txns id with
     | None -> () (* already resolved (idempotent) *)
     | Some p ->
-      Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
+      append_record t k_commit (Some id) "" [];
       List.iter (S.apply t.st) p.redos;
       Hashtbl.remove t.prepared_txns id;
       Group_commit.force t.gc
@@ -171,7 +172,7 @@ module Make (S : STATE) = struct
     match Hashtbl.find_opt t.prepared_txns id with
     | None -> ()
     | Some _ ->
-      Group_commit.append t.gc (encode_record k_abort (Some id) "" []);
+      append_record t k_abort (Some id) "" [];
       Hashtbl.remove t.prepared_txns id;
       Group_commit.force t.gc
 
@@ -181,7 +182,7 @@ module Make (S : STATE) = struct
     Hashtbl.fold (fun id p acc -> (id, p.coordinator) :: acc) t.prepared_txns []
 
   let apply_now t redos =
-    Group_commit.append t.gc (encode_record k_apply_now None "" redos);
+    append_record t k_apply_now None "" redos;
     List.iter (S.apply t.st) redos;
     Group_commit.force t.gc
 

@@ -50,23 +50,14 @@ let k_incarnation = 1
 let k_decision = 2
 let k_end = 3
 
-let encode_incarnation () =
-  let e = Codec.encoder () in
-  Codec.u8 e k_incarnation;
-  Codec.to_string e
-
-let encode_decision id parts =
-  let e = Codec.encoder () in
+(* Records are encoded into the log's reused scratch encoder and framed in
+   place; see [Wal.append_enc]. *)
+let append_decision gc id parts =
+  let e = Group_commit.encoder gc in
   Codec.u8 e k_decision;
   Txid.encode e id;
   Codec.list Codec.string e parts;
-  Codec.to_string e
-
-let encode_end id =
-  let e = Codec.encoder () in
-  Codec.u8 e k_end;
-  Txid.encode e id;
-  Codec.to_string e
+  Group_commit.append_enc gc e
 
 let open_tm ?commit_policy disk ~name:tm_name =
   let wal, recovered = Wal.open_log disk ~name:(tm_name ^ ".tmlog") in
@@ -86,7 +77,10 @@ let open_tm ?commit_policy disk ~name:tm_name =
       else if kind = k_end then Hashtbl.remove pending (Txid.decode d)
       else failwith "tm: unknown log record")
     recovered.Wal.records;
-  Group_commit.append_force gc (encode_incarnation ());
+  let e = Group_commit.encoder gc in
+  Codec.u8 e k_incarnation;
+  Group_commit.append_enc gc e;
+  Group_commit.force gc;
   {
     tm_name;
     wal;
@@ -149,10 +143,15 @@ let finish txn outcome =
   txn.abort_hooks <- [];
   List.iter (fun f -> f ()) (List.rev hooks)
 
+(* End records are a cleanup optimization; they need not be forced. They
+   go to the WAL directly, bypassing group commit, so they are not
+   shipped. *)
 let log_end t id =
   Hashtbl.remove t.pending id;
-  Wal.append t.wal (encode_end id)
-(* End records are a cleanup optimization; they need not be forced. *)
+  let e = Wal.encoder t.wal in
+  Codec.u8 e k_end;
+  Txid.encode e id;
+  Wal.append_enc t.wal e
 
 (* Retry commit delivery until every participant has acknowledged. *)
 let redeliver t id resolve =
@@ -282,7 +281,7 @@ let commit t txn =
            decision record is durable: under a batched force this fiber may
            park here, and resolvers must not observe a commit outcome that a
            crash could still revoke. *)
-        Group_commit.append t.gc (encode_decision txn.id pnames);
+        append_decision t.gc txn.id pnames;
         Group_commit.force t.gc;
         Rrq_sim.Crashpoint.reach ("tm.decided:" ^ t.tm_name);
         Hashtbl.replace t.pending txn.id (ref pnames);

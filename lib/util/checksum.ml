@@ -1,20 +1,10 @@
 let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 
-let fnv1a64_sub s ~pos ~len =
+let fnv1a64 s =
   let h = ref offset_basis in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code s.[i]));
-    h := Int64.mul !h prime
-  done;
-  !h
-
-let fnv1a64 s = fnv1a64_sub s ~pos:0 ~len:(String.length s)
-
-let fnv1a64_bytes b ~pos ~len =
-  let h = ref offset_basis in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
+  for i = 0 to String.length s - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
     h := Int64.mul !h prime
   done;
   !h
@@ -30,20 +20,6 @@ let fnv1a64_bytes b ~pos ~len =
 let frame_prime = 0x100000001b3
 let frame_basis = 0x4cb2f29ce484222
 
-let frame64_sub s ~pos ~len =
-  let h = ref frame_basis in
-  let words = len / 8 in
-  for i = 0 to words - 1 do
-    let w = Int64.to_int (String.get_int64_le s (pos + (i * 8))) in
-    h := (!h lxor w) * frame_prime
-  done;
-  for i = pos + (words * 8) to pos + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * frame_prime
-  done;
-  Int64.of_int !h
-
-let frame64 s = frame64_sub s ~pos:0 ~len:(String.length s)
-
 let frame64_bytes b ~pos ~len =
   let h = ref frame_basis in
   let words = len / 8 in
@@ -55,3 +31,7 @@ let frame64_bytes b ~pos ~len =
     h := (!h lxor Char.code (Bytes.unsafe_get b i)) * frame_prime
   done;
   Int64.of_int !h
+
+(* Read-only view of the string: [frame64_bytes] never writes. *)
+let frame64 s =
+  frame64_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

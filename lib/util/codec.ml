@@ -31,9 +31,20 @@ let i64 e v =
   Bytes.set_int64_le e.buf e.pos v;
   e.pos <- e.pos + 8
 
-let int e v = i64 e (Int64.of_int v)
+(* [int] and [float] write their 8 bytes themselves rather than calling
+   [i64]: without flambda the call is not inlined, so the [Int64.t]
+   argument would be boxed on every field of every record. *)
+let int e v =
+  ensure e 8;
+  Bytes.set_int64_le e.buf e.pos (Int64.of_int v);
+  e.pos <- e.pos + 8
+
 let bool e v = u8 e (if v then 1 else 0)
-let float e v = i64 e (Int64.bits_of_float v)
+
+let float e v =
+  ensure e 8;
+  Bytes.set_int64_le e.buf e.pos (Int64.bits_of_float v);
+  e.pos <- e.pos + 8
 
 let raw e s =
   let n = String.length s in
@@ -49,9 +60,15 @@ let option f b = function
   | None -> u8 b 0
   | Some v -> u8 b 1; f b v
 
+(* A top-level loop instead of [List.iter (f b)], which would allocate
+   the partial application on every call. *)
+let rec iter_enc f b = function
+  | [] -> ()
+  | x :: rest -> f b x; iter_enc f b rest
+
 let list f b l =
   int b (List.length l);
-  List.iter (f b) l
+  iter_enc f b l
 
 let pair f g b (x, y) = f b x; g b y
 

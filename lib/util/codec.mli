@@ -14,8 +14,8 @@ val to_string : encoder -> string
 (** Contents encoded so far. *)
 
 val reset : encoder -> unit
-(** Rewind to empty, keeping the underlying buffer. Commit fast paths
-    reuse one scratch encoder per log rather than allocating per record. *)
+(** Rewind to empty, keeping the underlying buffer. Every log reuses one
+    scratch encoder ([Wal.encoder]) rather than allocating per record. *)
 
 val length : encoder -> int
 (** Number of bytes encoded since creation or the last {!reset}. *)

@@ -96,15 +96,13 @@ let append t payload =
   Wal.append t.wal payload;
   if t.shipper <> None then retain t payload
 
+let encoder t = Wal.encoder t.wal
+
 let append_enc t e =
-  (* The zero-copy path must materialize the record when a shipper needs a
-     copy to send; without one it stays zero-copy. *)
-  if t.shipper <> None then begin
-    let payload = Codec.to_string e in
-    Wal.append_enc t.wal e;
-    retain t payload
-  end
-  else Wal.append_enc t.wal e
+  Wal.append_enc t.wal e;
+  (* A shipper needs its own copy of the record: the encoder is reused by
+     the next append. Without one the record is never materialized. *)
+  if t.shipper <> None then retain t (Codec.to_string e)
 
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so
@@ -344,7 +342,3 @@ let force t =
      proceed past an unshipped suffix. *)
   if t.ship_sync && t.shipper <> None && Sched.in_fiber () then
     ensure_shipped t lsn
-
-let append_force t payload =
-  append t payload;
-  force t

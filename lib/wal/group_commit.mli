@@ -12,7 +12,7 @@
 
     The contract callers must follow (and all RMs/TMs in this repo do):
 
-    + append the commit record(s) with {!append};
+    + append the commit record(s) with {!append_enc};
     + apply their effects to memory {e without yielding};
     + call {!force} and only acknowledge the transaction after it returns.
 
@@ -65,12 +65,17 @@ val create : ?policy:policy -> Wal.t -> t
 val policy : t -> policy
 val wal : t -> Wal.t
 
-val append : t -> string -> unit
-(** Buffer a record at the log tail (same as [Wal.append]). *)
+val encoder : t -> Rrq_util.Codec.encoder
+(** The log's scratch record encoder, reset ([Wal.encoder]). *)
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer a record straight from an encoder (same as [Wal.append_enc]):
-    the zero-copy path main-memory commits use. *)
+    the one route every resource manager's records take. While a shipper
+    is installed the record is also copied out for shipping. *)
+
+val append : t -> string -> unit
+(** Buffer a record that already exists as a string (same as
+    [Wal.append]). *)
 
 val force : t -> unit
 (** Make every record appended so far durable before returning. Under
@@ -78,9 +83,6 @@ val force : t -> unit
     it. If the disk is dead (crash-point injection), returns without
     durability — mirroring the historical [append_sync] semantics where
     the process is about to be declared crashed anyway. *)
-
-val append_force : t -> string -> unit
-(** [append] then [force]. *)
 
 (** {1 Log shipping (primary-backup replication)}
 

@@ -16,20 +16,14 @@ type t = {
      must not rebuild these strings every time. *)
   site_sync : string;
   site_synced : string;
+  (* The log's record encoder, reused for every record (see {!encoder}). *)
+  scratch : Codec.encoder;
 }
 
 type recovered = { snapshot : string option; records : string list }
 
 let seg_name base n = Printf.sprintf "%s.seg%d" base n
 let ckpt_name base = base ^ ".ckpt"
-
-(* Frame: payload length (i64) | frame64 of payload (i64) | payload. *)
-let frame payload =
-  let e = Codec.encoder () in
-  Codec.int e (String.length payload);
-  Codec.i64 e (Checksum.frame64 payload);
-  Codec.raw e payload;
-  Codec.to_string e
 
 (* Scan a segment's contents, returning complete valid records in order.
    Returns [None] as second component if the scan hit a corrupt/truncated
@@ -117,7 +111,12 @@ let open_log disk ~name:base =
         (* Torn tail: durably truncate the segment to its valid prefix, so
            the next recovery scans past it into segments we append now. *)
         let e = Codec.encoder () in
-        List.iter (fun r -> Codec.raw e (frame r)) recs;
+        List.iter
+          (fun r ->
+            Codec.int e (String.length r);
+            Codec.i64 e (Checksum.frame64 r);
+            Codec.raw e r)
+          recs;
         Disk.replace_atomic disk (seg_name base !seg) (Codec.to_string e);
         incr seg;
         scanning := false
@@ -141,6 +140,7 @@ let open_log disk ~name:base =
       durable_lsn = 0;
       site_sync = "wal.sync:" ^ base;
       site_synced = "wal.synced:" ^ base;
+      scratch = Codec.encoder ();
     }
   in
   (t, { snapshot; records })
@@ -150,26 +150,15 @@ let name t = t.base
 let appended_lsn t = t.appended_lsn
 let durable_lsn t = t.durable_lsn
 
-let append t payload =
-  Disk.append t.file (frame payload);
-  t.since_ckpt <- t.since_ckpt + 1;
-  t.appended_lsn <- t.appended_lsn + 1;
-  if Rrq_obs.enabled () then begin
-    Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
-    Rrq_obs.Metrics.inc ~by:(String.length payload) ("wal.bytes:" ^ t.base);
-    Rrq_obs.Trace.emit
-      (Rrq_obs.Event.Wal_append
-         { wal = t.base; lsn = t.appended_lsn; bytes = String.length payload })
-  end
+let encoder t =
+  Codec.reset t.scratch;
+  t.scratch
 
-(* Same frame layout as {!append}, written straight from the encoder's
-   buffer into the device's pending queue: no [to_string] copy, no frame
-   buffer, and the checksum runs over bytes in place. This is the
-   main-memory commit fast path — the record is still framed, checksummed
-   and replayable exactly like any other. *)
-let append_enc t e =
-  let len = Codec.length e in
-  let buf = Codec.bytes e in
+(* Every record is framed in place on the device's pending bytes as
+   [len | frame64 | payload]: the two header words go straight into the
+   file's buffer and the payload is copied once, from wherever it lives.
+   [buf] is only read. *)
+let append_bytes t buf ~len =
   Disk.append_i64 t.file (Int64.of_int len);
   Disk.append_i64 t.file (Checksum.frame64_bytes buf ~pos:0 ~len);
   Disk.append_sub t.file buf ~pos:0 ~len;
@@ -182,6 +171,11 @@ let append_enc t e =
       (Rrq_obs.Event.Wal_append
          { wal = t.base; lsn = t.appended_lsn; bytes = len })
   end
+
+let append_enc t e = append_bytes t (Codec.bytes e) ~len:(Codec.length e)
+
+let append t payload =
+  append_bytes t (Bytes.unsafe_of_string payload) ~len:(String.length payload)
 
 (* [Disk.sync] flushes everything buffered, so on success the durable LSN
    jumps to the append LSN — including records appended by other fibers

@@ -27,15 +27,20 @@ val name : t -> string
 (** The log's base name, as passed to {!open_log} — used to key metrics
     and trace events. *)
 
-val append : t -> string -> unit
-(** Buffer a record at the log tail. Not durable until {!sync}. *)
+val encoder : t -> Rrq_util.Codec.encoder
+(** The log's scratch record encoder, reset to empty. Every record a
+    resource manager writes is encoded here and handed to {!append_enc}
+    without yielding in between; the buffer is reused by the next call, so
+    a warmed log encodes records without allocating. *)
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
-(** Buffer the encoder's contents as one record, writing the frame
-    directly from the encoder's buffer — no intermediate string. The
-    record is framed and checksummed identically to {!append}; callers
-    typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
-    commit. *)
+(** Buffer the encoder's contents as one record at the log tail, framed in
+    place on the disk's pending bytes as [len | frame64 | payload] — no
+    intermediate string. Not durable until {!sync}. *)
+
+val append : t -> string -> unit
+(** [append_enc] for a record that already exists as a string (a shipped
+    record being applied on a standby); the bytes on disk are identical. *)
 
 val sync : t -> unit
 (** Force all buffered records to stable storage. On success this advances

@@ -100,6 +100,9 @@ let r3_cases =
         "let f d = Disk.replace_atomic d \"ckpt\" \"bytes\"" );
     ( "fires: Wal.append in core",
       fires "R3" ~file:"lib/core/fixture.ml" "let f w = Wal.append w \"rec\"" );
+    ( "fires: Group_commit.append_enc in core",
+      fires "R3" ~file:"lib/core/fixture.ml"
+        "let f gc e = Group_commit.append_enc gc e" );
     ( "fires: Group_commit.force in harness",
       fires "R3" ~file:"lib/harness/fixture.ml" "let f gc = Group_commit.force gc" );
     ( "fires: Element field write outside qm",

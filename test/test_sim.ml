@@ -252,6 +252,43 @@ let test_many_fibers () =
   in
   Alcotest.(check int) "all delivered" (n * (n + 1) / 2) !total
 
+(* The scheduler prunes finished fibers from its table as it grows. Spawn
+   several waves of short-lived fibers (well past the first pruning
+   threshold) with one long-lived fiber per wave, then check that
+   [live_fibers] still lists exactly the survivors oldest first and that
+   [kill_group] still reaches every member of a group. *)
+let test_pruned_fiber_table () =
+  let s = Sched.create () in
+  let resumed = ref [] in
+  let live_at_7 = ref [] in
+  let long_name w = Printf.sprintf "long%d" w in
+  ignore
+    (Sched.spawn s ~name:"spawner" (fun () ->
+         for w = 1 to 5 do
+           for i = 1 to 40 do
+             ignore
+               (Sched.spawn s ~name:(Printf.sprintf "short%d.%d" w i)
+                  (fun () -> Sched.yield ()))
+           done;
+           let group = if w mod 2 = 1 then "a" else "b" in
+           ignore
+             (Sched.spawn s ~group ~name:(long_name w) (fun () ->
+                  Sched.sleep 10.0;
+                  resumed := long_name w :: !resumed));
+           Sched.sleep 1.0
+         done));
+  Sched.at s 7.0 (fun () ->
+      live_at_7 := Sched.live_fibers s;
+      Sched.kill_group s "a");
+  Sched.run s;
+  Alcotest.(check (list (pair string pass))) "no failures" [] (Sched.failures s);
+  Alcotest.(check (list string)) "survivors, oldest first"
+    (List.init 5 (fun i -> long_name (i + 1)))
+    !live_at_7;
+  Alcotest.(check (list string)) "only group b resumed" [ "long2"; "long4" ]
+    (List.rev !resumed);
+  Alcotest.(check (list string)) "nothing left" [] (Sched.live_fibers s)
+
 let suite =
   [
     Alcotest.test_case "sleep ordering" `Quick test_sleep_order;
@@ -273,6 +310,7 @@ let suite =
     Alcotest.test_case "live fibers reports blocked" `Quick
       test_live_fibers_reports_blocked;
     Alcotest.test_case "many fibers" `Quick test_many_fibers;
+    Alcotest.test_case "pruned fiber table" `Quick test_pruned_fiber_table;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]

@@ -13,6 +13,37 @@ let tx n = Txid.make ~origin:"t" ~inc:1 ~n
 
 (* --- Lock manager --------------------------------------------------- *)
 
+(* Releasing the last holder drops the key's entry; the key must still
+   behave like a fresh one, with or without a waiter in between. *)
+let test_lock_released_key_reacquirable () =
+  H.run_fiber (fun () ->
+      let lm = Lock.create () in
+      Lock.acquire lm (tx 1) ~key:"exec:r1" Lock.X;
+      Alcotest.(check bool) "locked" true (Lock.locked lm ~key:"exec:r1");
+      Lock.release_all lm (tx 1);
+      Alcotest.(check bool) "released" false (Lock.locked lm ~key:"exec:r1");
+      Lock.acquire lm (tx 2) ~key:"exec:r1" Lock.X;
+      Alcotest.(check bool) "reacquired" true
+        (Lock.holds lm (tx 2) ~key:"exec:r1" Lock.X);
+      let got = ref false in
+      let waiter =
+        Sched.fork ~name:"waiter" (fun () ->
+            Lock.acquire lm (tx 3) ~key:"exec:r1" Lock.X;
+            got := true)
+      in
+      Sched.yield ();
+      Lock.release_all lm (tx 2);
+      while Sched.alive waiter do
+        Sched.yield ()
+      done;
+      Alcotest.(check bool) "waiter granted" true !got;
+      Alcotest.(check bool) "held by waiter" true
+        (Lock.holds lm (tx 3) ~key:"exec:r1" Lock.X);
+      Lock.release_all lm (tx 3);
+      Alcotest.(check bool) "released again" false
+        (Lock.locked lm ~key:"exec:r1");
+      Alcotest.(check int) "no waits left" 0 (Lock.waiting_count lm))
+
 let test_lock_shared_compatible () =
   H.run_fiber (fun () ->
       let lm = Lock.create () in
@@ -553,6 +584,8 @@ let test_txid_roundtrip () =
 let lock_suite =
   [
     Alcotest.test_case "S/S compatible" `Quick test_lock_shared_compatible;
+    Alcotest.test_case "released key reacquirable" `Quick
+      test_lock_released_key_reacquirable;
     Alcotest.test_case "X blocks, FIFO" `Quick test_lock_exclusive_blocks;
     Alcotest.test_case "reentrant + upgrade" `Quick test_lock_reentrant_and_upgrade;
     Alcotest.test_case "fairness: no X starvation" `Quick
