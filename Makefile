@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work. See doc/CI.md.
 
-.PHONY: all build test quick-test lint lint-graph witness check sim ha-check shard-check stats bench bench-smoke clean
+.PHONY: all build test quick-test lint lint-graph witness check sim ha-check shard-check stats bench bench-smoke perfbench-smoke clean
 
 all: build
 
@@ -72,6 +72,17 @@ bench:
 # produce meaningful numbers.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13 --only B14
+
+# The repository benchmark at smoke scale: every perfbench workload for 3 s
+# with tracing on, which runs its correctness gate and its determinism and
+# passivity checks. Fails unless each run reports "correct": true.
+perfbench-smoke:
+	@for w in local sharded_2pc ha_hot; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 7 --seconds 3 --trace 1) || exit 1; \
+	  echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+	    || { echo "perfbench-smoke: $$w: not correct"; exit 1; }; \
+	  echo "perfbench-smoke: $$w: correct"; \
+	done
 
 clean:
 	dune clean

@@ -9,6 +9,8 @@ module Wal = Rrq_wal.Wal
 module Qm = Rrq_qm.Qm
 module Kvdb = Rrq_kvdb.Kvdb
 module Tm = Rrq_txn.Tm
+module Sched = Rrq_sim.Sched
+module Ivar = Rrq_sim.Ivar
 module Table = Rrq_util.Table
 
 (* [--smoke] runs everything at a fraction of the iterations/quota: enough
@@ -83,28 +85,62 @@ let bench_kv_put () =
     Kvdb.put kv id ("k" ^ string_of_int (!n mod 512)) "v";
     ignore ((Kvdb.participant kv).Tm.p_one_phase id)
 
+(* Scheduler primitives run inside a fiber, so a batch of [n] operations is
+   one fiber on a fresh scheduler, run to completion: creating the
+   scheduler and starting the fiber are spread over the batch. *)
+let in_fiber op n =
+  let s = Sched.create () in
+  ignore
+    (Sched.spawn s ~name:"b1" (fun () ->
+         for _ = 1 to n do
+           op s
+         done));
+  Sched.run s
+
+let bench_clock () = in_fiber (fun _ -> ignore (Sys.opaque_identity (Sched.clock ())))
+let bench_yield () = in_fiber (fun _ -> Sched.yield ())
+let bench_sleep () = in_fiber (fun _ -> Sched.sleep 0.001)
+
+(* A timed read answered before its deadline: the fill comes from a timer
+   due now, the way a network delivery wakes an RPC caller. *)
+let bench_ivar_roundtrip () =
+  in_fiber (fun s ->
+      let iv = Ivar.create () in
+      Sched.at s (Sched.now s) (fun () -> Ivar.fill iv ());
+      ignore (Ivar.read_timeout iv 1.0))
+
+let per_op setup () =
+  let f = setup () in
+  fun n ->
+    for _ = 1 to n do
+      f ()
+    done
+
 let b1_ops =
   [
-    ("stable enq+deq (128B)", bench_stable_roundtrip);
-    ("main-memory enq+deq (128B)", bench_mm_roundtrip);
-    ("volatile enq+deq (128B)", bench_volatile_roundtrip);
-    ("tagged enq+deq (ckpt)", bench_tagged_roundtrip);
-    ("read by eid", bench_read);
-    ("wal append+sync (128B)", bench_wal_append);
-    ("kvdb put (1-phase)", bench_kv_put);
+    ("stable enq+deq (128B)", per_op bench_stable_roundtrip);
+    ("main-memory enq+deq (128B)", per_op bench_mm_roundtrip);
+    ("volatile enq+deq (128B)", per_op bench_volatile_roundtrip);
+    ("tagged enq+deq (ckpt)", per_op bench_tagged_roundtrip);
+    ("read by eid", per_op bench_read);
+    ("wal append+sync (128B)", per_op bench_wal_append);
+    ("kvdb put (1-phase)", per_op bench_kv_put);
+    ("sched clock", bench_clock);
+    ("sched yield", bench_yield);
+    ("sched sleep", bench_sleep);
+    ("ivar read_timeout+fill", bench_ivar_roundtrip);
   ]
 
 let b1_reps = 7
 
+(* [setup ()] builds fresh state and returns a runner of [n] operations. *)
 let time_ns ~iters setup =
   let best = ref infinity and worst = ref 0.0 and words = ref 0.0 in
   for _ = 1 to b1_reps do
-    let f = setup () in
+    let run = setup () in
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
+    run iters;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
     words := (Gc.minor_words () -. w0) /. float_of_int iters;
     if ns < !best then best := ns;

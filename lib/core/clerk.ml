@@ -11,6 +11,9 @@ type t = {
   mutable system : string;
   ring : string list;
   client_id : string;
+  (* Crash-site names, built once per clerk. *)
+  site_sent : string;
+  site_received : string;
   req_queue : string;
   reply_q : string;
   rpc_timeout : float;
@@ -212,6 +215,8 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
       system;
       ring = system :: List.filter (fun b -> b <> system) backups;
       client_id;
+      site_sent = "clerk.sent:" ^ client_id;
+      site_received = "clerk.received:" ^ client_id;
       req_queue;
       reply_q =
         (match reply_queue with Some q -> q | None -> "reply." ^ client_id);
@@ -278,7 +283,7 @@ let send t ~rid ?(props = []) ?kind ?scratch ?step body =
       Rrq_obs.Trace.emit
         (Rrq_obs.Event.Clerk_send { client = t.client_id; rid; eid })
     end;
-    Rrq_sim.Crashpoint.reach ("clerk.sent:" ^ t.client_id);
+    Rrq_sim.Crashpoint.reach t.site_sent;
     eid
   | _ -> raise (Unavailable "unexpected reply to enqueue")
 
@@ -341,7 +346,7 @@ let receive t ?ckpt ?(timeout = 30.0) () =
         | _ -> ());
         t.sent_at <- None
       end;
-      Rrq_sim.Crashpoint.reach ("clerk.received:" ^ t.client_id)
+      Rrq_sim.Crashpoint.reach t.site_received
     | None -> () (* timeout: no transition; the client will retry *));
     reply
   | _ -> raise (Unavailable "unexpected reply to dequeue")

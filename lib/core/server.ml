@@ -14,8 +14,11 @@ type handler = Site.t -> Tm.txn -> Envelope.t -> result
 
 type t = { mutable n_processed : int; mutable n_aborted : int }
 
-(* One server transaction: dequeue - handle - enqueue result - commit. *)
-let process_one site ~req_queue ~registrant ?filter ~wait handler =
+let handled_site req_queue = "server.handled:" ^ req_queue
+
+(* One server transaction: dequeue - handle - enqueue result - commit.
+   [site_handled] is [handled_site req_queue], built once per thread. *)
+let process site ~req_queue ~site_handled ~registrant ?filter ~wait handler =
   let qm = Site.qm site in
   let h, _ = Qm.register qm ~queue:req_queue ~registrant ~stable:false in
   match
@@ -56,7 +59,7 @@ let process_one site ~req_queue ~registrant ?filter ~wait handler =
               (Sched.clock () -. t0);
           (* Crash site: handler ran and the reply is buffered, but the
              server transaction has not committed yet. *)
-          Rrq_sim.Crashpoint.reach ("server.handled:" ^ req_queue);
+          Rrq_sim.Crashpoint.reach site_handled;
           `Done)
   with
   | outcome -> outcome
@@ -65,6 +68,10 @@ let process_one site ~req_queue ~registrant ?filter ~wait handler =
     (* Poisonous request (e.g. undecodable payload): the abort already
        returned it; the retry limit will shunt it to the error queue. *)
     `Aborted
+
+let process_one site ~req_queue ~registrant ?filter ~wait handler =
+  process site ~req_queue ~site_handled:(handled_site req_queue) ~registrant
+    ?filter ~wait handler
 
 (* One server transaction over a queue set (paper 9): take the globally
    best element across several queues. *)
@@ -118,8 +125,12 @@ let process_one_set site ~req_queues ~registrant ?filter ~wait handler =
   | exception e when Rrq_util.Swallow.nonfatal e -> `Aborted
 
 let serve t site ~req_queue ?filter ~registrant handler () =
+  let site_handled = handled_site req_queue in
   let rec loop () =
-    (match process_one site ~req_queue ~registrant ?filter ~wait:Qm.Block handler with
+    (match
+       process site ~req_queue ~site_handled ~registrant ?filter ~wait:Qm.Block
+         handler
+     with
     | `Done -> t.n_processed <- t.n_processed + 1
     | `Empty -> ()
     | `Aborted ->

@@ -63,6 +63,9 @@ type t = {
   mutable sh_map : map;
   max_hops : int;
   untag_forward_bug : bool;
+  (* Crash-site names, built once per router. *)
+  site_route : string;
+  site_forward : string;
 }
 
 let site t = t.sh_site
@@ -221,7 +224,7 @@ let routed_service t msg =
   let name = Site.site_name site in
   match msg with
   | Sh_routed { version; hops; inner } ->
-    Crashpoint.reach ("shard.route:" ^ name);
+    Crashpoint.reach t.site_route;
     let m = t.sh_map in
     let newer () = if version < m.version then Some m else None in
     (match op_target inner with
@@ -238,7 +241,7 @@ let routed_service t msg =
           Rrq_obs.Trace.emit
             (Rrq_obs.Event.Shard_forward { node = name; owner = own; version })
         end;
-        Crashpoint.reach ("shard.forward:" ^ name);
+        Crashpoint.reach t.site_forward;
         if hops >= t.max_hops then
           failwith
             (Printf.sprintf "shard: %s -> %s exceeds forward hop bound %d" name
@@ -298,7 +301,17 @@ let shard_service t msg =
   | _ -> raise (Invalid_argument "shard service: unexpected message")
 
 let attach ?(max_hops = 2) ?(untag_forward_bug = false) site map =
-  let t = { sh_site = site; sh_map = map; max_hops; untag_forward_bug } in
+  let name = Site.site_name site in
+  let t =
+    {
+      sh_site = site;
+      sh_map = map;
+      max_hops;
+      untag_forward_bug;
+      site_route = "shard.route:" ^ name;
+      site_forward = "shard.forward:" ^ name;
+    }
+  in
   Site.on_boot site (fun s ->
       Net.add_service (Site.node s) "qm" (routed_service t);
       Net.add_service (Site.node s) "shard" (shard_service t));

@@ -16,8 +16,8 @@ type node = {
   ndisk : Disk.t;
   net : t;
   mutable up : bool;
-  services : (string, payload -> payload) Hashtbl.t;
-  pending : (int, rpc_reply Ivar.t) Hashtbl.t;
+  (* service name -> (name of the fiber that serves one call, handler) *)
+  services : (string, string * (payload -> payload)) Hashtbl.t;
   mutable boot_proc : node -> unit;
 }
 
@@ -31,7 +31,6 @@ and t = {
   nodes : (string, node) Hashtbl.t;
   mutable n_sent : int;
   mutable n_dropped : int;
-  mutable next_rpc : int;
 }
 
 let create ?(latency = 0.005) ?(jitter = 0.0) ?(drop_rate = 0.0) tsched rng =
@@ -45,7 +44,6 @@ let create ?(latency = 0.005) ?(jitter = 0.0) ?(drop_rate = 0.0) tsched rng =
     nodes = Hashtbl.create 8;
     n_sent = 0;
     n_dropped = 0;
-    next_rpc = 0;
   }
 
 let sched t = t.tsched
@@ -73,7 +71,6 @@ let make_node ?(torn_writes = false) ?sync_latency t nname =
       net = t;
       up = true;
       services = Hashtbl.create 8;
-      pending = Hashtbl.create 16;
       boot_proc = (fun _ -> ());
     }
   in
@@ -89,7 +86,8 @@ let network n = n.net
 let spawn_on n ~name f =
   if n.up then ignore (Sched.spawn n.net.tsched ~group:n.nname ~name f)
 
-let add_service n sname handler = Hashtbl.replace n.services sname handler
+let add_service n sname handler =
+  Hashtbl.replace n.services sname (n.nname ^ ":" ^ sname, handler)
 let set_boot n proc = n.boot_proc <- proc
 let boot n = n.boot_proc n
 
@@ -116,10 +114,9 @@ let transmit t ~src ~dst (k : node -> unit) =
 let run_service dst ~service ~request reply_k =
   match Hashtbl.find_opt dst.services service with
   | None -> reply_k (Err_reply ("no such service: " ^ service))
-  | Some handler ->
+  | Some (fiber_name, handler) ->
     ignore
-      (Sched.spawn dst.net.tsched ~group:dst.nname
-         ~name:(dst.nname ^ ":" ^ service)
+      (Sched.spawn dst.net.tsched ~group:dst.nname ~name:fiber_name
          (fun () ->
            let reply =
              (* Nonfatal only: an injected crash inside a handler must kill
@@ -134,17 +131,12 @@ let run_service dst ~service ~request reply_k =
 
 let call src ?(timeout = 5.0) ~dst ~service request =
   let t = src.net in
-  t.next_rpc <- t.next_rpc + 1;
-  let rpc_id = t.next_rpc in
   let iv = Ivar.create () in
-  Hashtbl.replace src.pending rpc_id iv;
   transmit t ~src:src.nname ~dst (fun dnode ->
       run_service dnode ~service ~request (fun reply ->
           transmit t ~src:dnode.nname ~dst:src.nname (fun _src_node ->
               Ivar.fill iv reply)));
-  let result = Ivar.read_timeout iv timeout in
-  Hashtbl.remove src.pending rpc_id;
-  match result with
+  match Ivar.read_timeout iv timeout with
   | None -> raise Rpc_timeout
   | Some (Ok_reply v) -> v
   | Some (Err_reply msg) -> raise (Service_error msg)
@@ -158,7 +150,6 @@ let crash n =
   n.up <- false;
   Sched.kill_group n.net.tsched n.nname;
   Hashtbl.reset n.services;
-  Hashtbl.reset n.pending;
   Disk.crash n.ndisk
 
 let restart n =

@@ -28,8 +28,7 @@ let recv_timeout t d =
   | None ->
     Sched.suspend (fun sched w ->
         Queue.push w t.waiters;
-        Sched.at sched (Sched.now sched +. d) (fun () ->
-            ignore (Sched.wake w None)))
+        Sched.wake_at sched (Sched.now sched +. d) w None)
 
 let try_recv t = Queue.take_opt t.values
 let length t = Queue.length t.values

@@ -9,10 +9,11 @@ let fill t v =
   match t.value with
   | Some _ -> ()
   | None ->
-    t.value <- Some v;
+    let sv = Some v in
+    t.value <- sv;
     let readers = t.readers in
     t.readers <- [];
-    List.iter (fun w -> ignore (Sched.wake w (Some v))) readers
+    List.iter (fun w -> ignore (Sched.wake w sv)) readers
 
 let is_filled t = t.value <> None
 
@@ -31,5 +32,4 @@ let read_timeout t d =
   | None ->
     Sched.suspend (fun sched w ->
         t.readers <- w :: t.readers;
-        Sched.at sched (Sched.now sched +. d) (fun () ->
-            ignore (Sched.wake w None)))
+        Sched.wake_at sched (Sched.now sched +. d) w None)

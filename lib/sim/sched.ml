@@ -1,20 +1,46 @@
-type fiber = {
-  fid : int;
-  name : string;
-  group : string option;
-  mutable live : bool;
-}
-
-(* Binary min-heap of timers ordered by (time, sequence). *)
+(* Binary min-heap of timers ordered by (time, sequence). Every entry knows
+   its own slot, so a deadline whose waker was woken first can be taken out
+   in O(log n) instead of lingering until it fires. *)
 module Heap = struct
-  type entry = { time : float; seq : int; bg : bool; thunk : unit -> unit }
+  type entry = {
+    time : float;
+    seq : int;
+    bg : bool;
+    mutable thunk : unit -> unit;
+    mutable idx : int; (* slot in [arr]; -1 once popped or removed *)
+  }
 
   type h = { mutable arr : entry array; mutable len : int }
 
-  let dummy = { time = 0.0; seq = 0; bg = false; thunk = (fun () -> ()) }
+  let dummy = { time = 0.0; seq = 0; bg = false; thunk = (fun () -> ()); idx = -1 }
   let create () = { arr = Array.make 64 dummy; len = 0 }
   let is_empty h = h.len = 0
+  let top h = h.arr.(0)
   let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let set h i e =
+    h.arr.(i) <- e;
+    e.idx <- i
+
+  let rec sift_up h i =
+    let p = (i - 1) / 2 in
+    if i > 0 && less h.arr.(i) h.arr.(p) then begin
+      let e = h.arr.(i) in
+      set h i h.arr.(p);
+      set h p e;
+      sift_up h p
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < h.len && less h.arr.(l) h.arr.(i) then l else i in
+    let s = if r < h.len && less h.arr.(r) h.arr.(s) then r else s in
+    if s <> i then begin
+      let e = h.arr.(i) in
+      set h i h.arr.(s);
+      set h s e;
+      sift_down h s
+    end
 
   let push h e =
     if h.len = Array.length h.arr then begin
@@ -22,67 +48,60 @@ module Heap = struct
       Array.blit h.arr 0 bigger 0 h.len;
       h.arr <- bigger
     end;
-    h.arr.(h.len) <- e;
+    set h h.len e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && less h.arr.(!i) h.arr.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.arr.(p) in
-      h.arr.(p) <- h.arr.(!i);
-      h.arr.(!i) <- tmp;
-      i := p
-    done
+    sift_up h e.idx
+
+  (* Take [e] out, moving the last entry into its slot. *)
+  let remove h e =
+    let i = e.idx in
+    assert (i >= 0 && i < h.len && h.arr.(i) == e);
+    h.len <- h.len - 1;
+    let last = h.arr.(h.len) in
+    h.arr.(h.len) <- dummy;
+    e.idx <- -1;
+    if i < h.len then begin
+      set h i last;
+      sift_down h i;
+      sift_up h last.idx
+    end
 
   let pop h =
-    assert (h.len > 0);
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    h.arr.(0) <- h.arr.(h.len);
-    h.arr.(h.len) <- dummy;
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-      if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-      if !smallest = !i then continue_ := false
-      else begin
-        let tmp = h.arr.(!smallest) in
-        h.arr.(!smallest) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-
-  let peek_time h =
-    assert (h.len > 0);
-    h.arr.(0).time
+    let e = top h in
+    remove h e;
+    e
 end
 
 (* Ready set: an indexable queue so a scheduling policy can pick any entry,
-   not just the head. [take 0] (the FIFO fast path) is O(1); removing from
-   the middle shifts the tail, which is fine because ready sets are small. *)
+   not just the head. Priorities and thunks sit in parallel arrays, so a
+   push allocates nothing. [take 0] (the FIFO fast path) is O(1); removing
+   from the middle shifts the tail, which is fine because ready sets are
+   small. *)
 module Ready = struct
-  type entry = { prio : int; rthunk : unit -> unit }
+  type q = {
+    mutable prio : int array;
+    mutable thunk : (unit -> unit) array;
+    mutable head : int;
+    mutable len : int;
+  }
 
-  type q = { mutable arr : entry array; mutable head : int; mutable len : int }
-
-  let dummy = { prio = 0; rthunk = (fun () -> ()) }
-  let create () = { arr = Array.make 64 dummy; head = 0; len = 0 }
+  let nop () = ()
+  let create () = { prio = Array.make 64 0; thunk = Array.make 64 nop; head = 0; len = 0 }
   let length q = q.len
 
-  let push q prio rthunk =
-    if q.head + q.len = Array.length q.arr then begin
-      let cap = Array.length q.arr in
+  let push q p th =
+    if q.head + q.len = Array.length q.thunk then begin
+      let cap = Array.length q.thunk in
       let newcap = if 2 * q.len > cap then 2 * cap else cap in
-      let dst = Array.make newcap dummy in
-      Array.blit q.arr q.head dst 0 q.len;
-      q.arr <- dst;
+      let prio = Array.make newcap 0 and thunk = Array.make newcap nop in
+      Array.blit q.prio q.head prio 0 q.len;
+      Array.blit q.thunk q.head thunk 0 q.len;
+      q.prio <- prio;
+      q.thunk <- thunk;
       q.head <- 0
     end;
-    q.arr.(q.head + q.len) <- { prio; rthunk };
+    q.prio.(q.head + q.len) <- p;
+    q.thunk.(q.head + q.len) <- th;
     q.len <- q.len + 1
 
   (* Index (relative to the head) of the maximum-priority entry; ties go to
@@ -90,26 +109,26 @@ module Ready = struct
   let argmax_prio q =
     let best = ref 0 in
     for i = 1 to q.len - 1 do
-      if q.arr.(q.head + i).prio > q.arr.(q.head + !best).prio then best := i
+      if q.prio.(q.head + i) > q.prio.(q.head + !best) then best := i
     done;
     !best
 
   let take q i =
     assert (i >= 0 && i < q.len);
-    let e = q.arr.(q.head + i) in
+    let th = q.thunk.(q.head + i) in
     if i = 0 then begin
-      q.arr.(q.head) <- dummy;
+      q.thunk.(q.head) <- nop;
       q.head <- q.head + 1
     end
     else begin
-      for j = q.head + i to q.head + q.len - 2 do
-        q.arr.(j) <- q.arr.(j + 1)
-      done;
-      q.arr.(q.head + q.len - 1) <- dummy
+      let j = q.head + i and rest = q.len - i - 1 in
+      Array.blit q.prio (j + 1) q.prio j rest;
+      Array.blit q.thunk (j + 1) q.thunk j rest;
+      q.thunk.(q.head + q.len - 1) <- nop
     end;
     q.len <- q.len - 1;
     if q.len = 0 then q.head <- 0;
-    e.rthunk
+    th
 end
 
 type decision = Pick of int | Timer_fired of int | Fault of string
@@ -119,14 +138,79 @@ type policy =
   | Random_priority of int
   | Replay of decision array
 
-(* Picks and timer firings are stored as one int each: [Pick i] as [2i],
-   [Timer_fired seq] as [2*seq+1]. Faults carry a string and are rare, so
-   they live in a side list keyed by their position in the decision
-   sequence. *)
+(* Picks and timer firings are coded as one non-negative int each: [Pick i]
+   as [2i], [Timer_fired seq] as [2*seq+1]. Faults carry a string and are
+   rare, so they live in a side list keyed by their position in the
+   decision sequence. *)
 let enc_pick i = i lsl 1
 let enc_timer seq = (seq lsl 1) lor 1
 
 let dec code = if code land 1 = 0 then Pick (code lsr 1) else Timer_fired (code lsr 1)
+
+let encode = function
+  | Pick i when i >= 0 -> enc_pick i
+  | Timer_fired s when s >= 0 -> enc_timer s
+  | Fault _ -> invalid_arg "Sched.pack_trace: fault notes are not packed"
+  | Pick _ | Timer_fired _ -> invalid_arg "Sched.pack_trace: negative decision"
+
+(* Decision codes packed as LEB128 varints: seven bits per byte, low group
+   first, the high bit set on every byte but the last. Under FIFO nearly
+   every decision is [Pick 0], a single byte. *)
+module Packed = struct
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable n : int }
+
+  let create () = { buf = Bytes.empty; pos = 0; n = 0 }
+
+  let rec put b code =
+    if code < 0x80 then begin
+      Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr code);
+      b.pos <- b.pos + 1
+    end
+    else begin
+      Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr (code land 0x7f lor 0x80));
+      b.pos <- b.pos + 1;
+      put b (code lsr 7)
+    end
+
+  (* A non-negative 63-bit code takes at most nine bytes. *)
+  let add b code =
+    if b.pos + 9 > Bytes.length b.buf then begin
+      let bigger = Bytes.create (max 256 (2 * Bytes.length b.buf)) in
+      Bytes.blit b.buf 0 bigger 0 b.pos;
+      b.buf <- bigger
+    end;
+    put b code;
+    b.n <- b.n + 1
+
+  (* [f i code] for every code in order, [i] counting from 0. *)
+  let iteri f buf len =
+    let pos = ref 0 and i = ref 0 in
+    while !pos < len do
+      let code = ref 0 and shift = ref 0 and more = ref true in
+      while !more do
+        let byte = Char.code (Bytes.get buf !pos) in
+        incr pos;
+        code := !code lor ((byte land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        more := byte land 0x80 <> 0
+      done;
+      f !i !code;
+      incr i
+    done
+end
+
+let pack_trace ds =
+  let b = Packed.create () in
+  Array.iter (fun d -> Packed.add b (encode d)) ds;
+  Bytes.sub_string b.buf 0 b.pos
+
+let unpack_trace s =
+  let len = String.length s in
+  if len > 0 && Char.code s.[len - 1] land 0x80 <> 0 then
+    invalid_arg "Sched.unpack_trace: truncated varint";
+  let acc = ref [] in
+  Packed.iteri (fun _ code -> acc := dec code :: !acc) (Bytes.unsafe_of_string s) len;
+  Array.of_list (List.rev !acc)
 
 let decision_to_string = function
   | Pick i -> "p" ^ string_of_int i
@@ -150,11 +234,23 @@ let trace_of_string s =
 
 let recent_size = 24
 
-type t = {
+type fiber = {
+  name : string;
+  group : string option;
+  mutable live : bool;
+  fsched : t;
+}
+
+and t = {
   mutable vnow : float;
   ready : Ready.q;
   timers : Heap.h;
   mutable fg_timers : int; (* non-background timers still in the heap *)
+  (* Foreground horizon: the latest foreground deadline taken out of the
+     heap before it fired ([Heap.dummy], at time 0, if none). Had it stayed,
+     it would have kept [run] going until it fired, so [run] still fires
+     every timer ordered before it and ends no earlier than its time. *)
+  mutable horizon : Heap.entry;
   mutable seq : int;
   mutable next_fid : int;
   (* Newest first. Dead fibers are pruned whenever the table reaches
@@ -167,12 +263,11 @@ type t = {
   pol : policy;
   prng : Rrq_util.Rng.t option; (* priority source for Random_priority *)
   mutable replay_pos : int; (* cursor into the Replay decision array *)
-  (* Decision trace: encoded picks/timer firings up to [tr_limit], plus a
+  (* Decision trace: packed picks/timer firings up to [tr_limit], plus a
      side list of injected faults. [n_decisions] counts past the limit so
-     truncation is detectable; [recent] is a ring of the last few encoded
-     decisions for livelock diagnostics. *)
-  mutable tr : int array;
-  mutable tr_len : int;
+     truncation is detectable; [recent] is a ring of the last few codes for
+     livelock diagnostics. *)
+  tr : Packed.t;
   tr_limit : int;
   mutable n_decisions : int;
   mutable faults : (int * string) list; (* (position, label), newest first *)
@@ -186,6 +281,7 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
     ready = Ready.create ();
     timers = Heap.create ();
     fg_timers = 0;
+    horizon = Heap.dummy;
     seq = 0;
     next_fid = 0;
     fiber_table = [];
@@ -198,8 +294,7 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
       | Random_priority seed -> Some (Rrq_util.Rng.create seed)
       | Fifo | Replay _ -> None);
     replay_pos = 0;
-    tr = [||];
-    tr_len = 0;
+    tr = Packed.create ();
     tr_limit = max 0 trace_limit;
     n_decisions = 0;
     faults = [];
@@ -207,18 +302,17 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
     recent_n = 0;
   }
 
+(* The running-fiber slot: the fiber [run] is executing right now, or
+   [no_fiber] in scheduler context (timer callbacks, suspend registrations,
+   outside [run]). Reading it is what makes [clock], [self] and [in_fiber]
+   plain loads instead of effect performs. *)
+let no_fiber = { name = ""; group = None; live = false; fsched = create () }
+let running = ref no_fiber
+
 let now t = t.vnow
 
 let record t code =
-  if t.tr_len < t.tr_limit then begin
-    if t.tr_len = Array.length t.tr then begin
-      let bigger = Array.make (max 256 (2 * t.tr_len)) 0 in
-      Array.blit t.tr 0 bigger 0 t.tr_len;
-      t.tr <- bigger
-    end;
-    t.tr.(t.tr_len) <- code;
-    t.tr_len <- t.tr_len + 1
-  end;
+  if t.tr.Packed.n < t.tr_limit then Packed.add t.tr code;
   t.recent.(t.n_decisions mod recent_size) <- code;
   t.recent_n <- min recent_size (t.recent_n + 1);
   t.n_decisions <- t.n_decisions + 1
@@ -240,25 +334,42 @@ let trace t =
       | _ -> continue_ := false
     done
   in
-  for i = 0 to t.tr_len - 1 do
-    splice_up_to i;
-    acc := dec t.tr.(i) :: !acc
-  done;
+  Packed.iteri
+    (fun i code ->
+      splice_up_to i;
+      acc := dec code :: !acc)
+    t.tr.Packed.buf t.tr.Packed.pos;
   splice_up_to max_int;
   Array.of_list (List.rev !acc)
 
-let trace_truncated t = t.n_decisions > t.tr_len
+let trace_truncated t = t.n_decisions > t.tr.Packed.n
 
 let recent_decisions t =
   let n = t.recent_n in
   List.init n (fun i ->
       dec t.recent.((t.n_decisions - n + i) mod recent_size))
 
-let at ?(background = false) t time thunk =
+let add_timer t ~background time thunk =
   t.seq <- t.seq + 1;
   if not background then t.fg_timers <- t.fg_timers + 1;
-  Heap.push t.timers
-    { time = Float.max time t.vnow; seq = t.seq; bg = background; thunk }
+  let e =
+    { Heap.time = Float.max time t.vnow; seq = t.seq; bg = background; thunk; idx = -1 }
+  in
+  Heap.push t.timers e;
+  e
+
+let at ?(background = false) t time thunk = ignore (add_timer t ~background time thunk)
+
+(* Take a foreground deadline out of the heap before it fires, raising the
+   horizon to it. Its callback is dropped: the entry may live on as the
+   horizon, which needs only its time and sequence number. *)
+let cancel_deadline t (e : Heap.entry) =
+  if e.idx >= 0 then begin
+    Heap.remove t.timers e;
+    e.thunk <- Heap.dummy.thunk;
+    t.fg_timers <- t.fg_timers - 1;
+    if Heap.less t.horizon e then t.horizon <- e
+  end
 
 let push_ready t thunk =
   let prio = match t.prng with Some rng -> Rrq_util.Rng.int rng 1_000_000 | None -> 0 in
@@ -268,7 +379,7 @@ type 'a waker = {
   mutable used : bool;
   wfiber : fiber;
   wk : ('a, unit) Effect.Deep.continuation;
-  wsched : t;
+  mutable deadline : Heap.entry; (* from [wake_at]; [Heap.dummy] if none *)
 }
 
 let waker_live w = (not w.used) && w.wfiber.live
@@ -277,32 +388,48 @@ let wake w v =
   if w.used then false
   else begin
     w.used <- true;
+    let sched = w.wfiber.fsched in
+    if w.deadline != Heap.dummy then begin
+      cancel_deadline sched w.deadline;
+      w.deadline <- Heap.dummy
+    end;
     if w.wfiber.live then begin
-      push_ready w.wsched (fun () ->
-          if w.wfiber.live then Effect.Deep.continue w.wk v);
+      push_ready sched (fun () ->
+          if w.wfiber.live then begin
+            running := w.wfiber;
+            Effect.Deep.continue w.wk v
+          end);
       true
     end
     else false
   end
 
+let wake_at t time w v =
+  let e = add_timer t ~background:false time (fun () -> ignore (wake w v)) in
+  if not w.used then w.deadline <- e
+
 type _ Effect.t +=
   | Suspend : (t -> 'a waker -> unit) -> 'a Effect.t
-  | Fork : (string option * (unit -> unit)) -> fiber Effect.t
   | Clock : float Effect.t
   | Self : fiber Effect.t
 
-let clock () = Effect.perform Clock
-let self () = Effect.perform Self
+(* Outside a fiber these raise [Effect.Unhandled], as performing an effect
+   with no handler installed would. *)
+let self () =
+  let f = !running in
+  if f == no_fiber then raise (Effect.Unhandled Self) else f
+
+let clock () =
+  let f = !running in
+  if f == no_fiber then raise (Effect.Unhandled Clock) else f.fsched.vnow
 
 (* Whether the caller runs inside a fiber (so blocking primitives work).
    Library code that is also usable outside the simulator — the group-commit
    force path — uses this to fall back to synchronous behavior. *)
-let in_fiber () =
-  match Effect.perform Self with
-  | (_ : fiber) -> true
-  | exception Effect.Unhandled _ -> false
+let in_fiber () = !running != no_fiber
 let suspend register = Effect.perform (Suspend register)
 
+(* Nothing else can wake a sleeper, so its timer needs no removal. *)
 let sleep d =
   suspend (fun sched w -> at sched (sched.vnow +. d) (fun () -> ignore (wake w ())))
 
@@ -315,27 +442,19 @@ let sleep_background d =
 let yield () =
   suspend (fun sched w -> push_ready sched (fun () -> ignore (wake w ())))
 
-let rec spawn t ?group ~name body =
-  t.next_fid <- t.next_fid + 1;
-  let fib = { fid = t.next_fid; name; group; live = true } in
-  if t.n_fibers >= t.prune_at then begin
-    t.fiber_table <- List.filter (fun f -> f.live) t.fiber_table;
-    t.n_fibers <- List.length t.fiber_table;
-    t.prune_at <- max 64 (2 * t.n_fibers)
-  end;
-  t.fiber_table <- fib :: t.fiber_table;
-  t.n_fibers <- t.n_fibers + 1;
-  push_ready t (fun () -> if fib.live then start t fib body);
-  fib
-
-and start t fib body =
+let start t fib body =
   let open Effect.Deep in
+  running := fib;
   match_with body ()
     {
-      retc = (fun () -> fib.live <- false);
+      retc =
+        (fun () ->
+          fib.live <- false;
+          running := no_fiber);
       exnc =
         (fun e ->
           fib.live <- false;
+          running := no_fiber;
           (* An injected crash is a kill, not a program failure: the fiber
              unwound exactly as a crashed process disappears. *)
           match e with
@@ -347,24 +466,33 @@ and start t fib body =
           | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
-                let w = { used = false; wfiber = fib; wk = k; wsched = t } in
-                register t w)
-          | Fork (name, child_body) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let child_name =
-                  match name with
-                  | Some n -> n
-                  | None -> fib.name ^ "/" ^ string_of_int (t.next_fid + 1)
-                in
-                let child = spawn t ?group:fib.group ~name:child_name child_body in
-                continue k child)
-          | Clock -> Some (fun (k : (a, _) continuation) -> continue k t.vnow)
-          | Self -> Some (fun (k : (a, _) continuation) -> continue k fib)
+                running := no_fiber;
+                register t { used = false; wfiber = fib; wk = k; deadline = Heap.dummy })
           | _ -> None);
     }
 
-let fork ?name body = Effect.perform (Fork (name, body))
+let spawn t ?group ~name body =
+  t.next_fid <- t.next_fid + 1;
+  let fib = { name; group; live = true; fsched = t } in
+  if t.n_fibers >= t.prune_at then begin
+    t.fiber_table <- List.filter (fun f -> f.live) t.fiber_table;
+    t.n_fibers <- List.length t.fiber_table;
+    t.prune_at <- max 64 (2 * t.n_fibers)
+  end;
+  t.fiber_table <- fib :: t.fiber_table;
+  t.n_fibers <- t.n_fibers + 1;
+  push_ready t (fun () -> if fib.live then start t fib body);
+  fib
+
+let fork ?name body =
+  let parent = self () in
+  let t = parent.fsched in
+  let name =
+    match name with
+    | Some n -> n
+    | None -> parent.name ^ "/" ^ string_of_int (t.next_fid + 1)
+  in
+  spawn t ?group:parent.group ~name body
 
 let kill _t fib = fib.live <- false
 
@@ -427,27 +555,41 @@ let limit_failure t =
      [%s]; last %d decisions: %s"
     t.vnow (List.length live) live_s (List.length (recent_decisions t)) recent_s
 
+(* Whether the earliest timer fires now: a live foreground timer remains,
+   or the earliest one is ordered before the foreground horizon. *)
+let timer_due t =
+  (not (Heap.is_empty t.timers))
+  && (t.fg_timers > 0 || Heap.less (Heap.top t.timers) t.horizon)
+
 let run ?(max_steps = 50_000_000) t =
-  let steps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let n = Ready.length t.ready in
-    if n > 0 then begin
-      incr steps;
-      if !steps > max_steps then failwith (limit_failure t);
-      let i = pick_index t n in
-      record t (enc_pick i);
-      let thunk = Ready.take t.ready i in
-      thunk ()
-    end
-    else if (not (Heap.is_empty t.timers)) && t.fg_timers > 0 then begin
-      t.vnow <- Float.max t.vnow (Heap.peek_time t.timers);
-      let e = Heap.pop t.timers in
-      if not e.Heap.bg then t.fg_timers <- t.fg_timers - 1;
-      incr steps;
-      if !steps > max_steps then failwith (limit_failure t);
-      record t (enc_timer e.Heap.seq);
-      e.Heap.thunk ()
-    end
-    else continue_ := false
-  done
+  let outer = !running in
+  running := no_fiber;
+  Fun.protect
+    ~finally:(fun () -> running := outer)
+    (fun () ->
+      let steps = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let n = Ready.length t.ready in
+        if n > 0 then begin
+          incr steps;
+          if !steps > max_steps then failwith (limit_failure t);
+          let i = pick_index t n in
+          record t (enc_pick i);
+          let thunk = Ready.take t.ready i in
+          thunk ()
+        end
+        else if timer_due t then begin
+          let e = Heap.pop t.timers in
+          if e.time > t.vnow then t.vnow <- e.time;
+          if not e.bg then t.fg_timers <- t.fg_timers - 1;
+          incr steps;
+          if !steps > max_steps then failwith (limit_failure t);
+          record t (enc_timer e.seq);
+          e.thunk ()
+        end
+        else continue_ := false
+      done;
+      (* The removed deadlines would have fired by now: end where the last
+         of them would have left the clock. *)
+      if t.horizon.time > t.vnow then t.vnow <- t.horizon.time)

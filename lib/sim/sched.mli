@@ -81,6 +81,18 @@ val trace_to_string : decision array -> string
 
 val trace_of_string : string -> decision array
 
+val pack_trace : decision array -> string
+(** The byte form {!trace} keeps internally: each [Pick i] as the code
+    [2i] and each [Timer_fired s] as [2s+1], written as LEB128 varints
+    (seven bits per byte, low group first, high bit set on every byte but
+    the last), so a FIFO pick takes one byte.
+    @raise Invalid_argument on a [Fault] (faults are kept apart) or a
+    negative index. *)
+
+val unpack_trace : string -> decision array
+(** Inverse of {!pack_trace}.
+    @raise Invalid_argument if the last varint is cut short. *)
+
 val now : t -> float
 (** Current virtual time. *)
 
@@ -90,7 +102,9 @@ val spawn : t -> ?group:string -> name:string -> (unit -> unit) -> fiber
     (though {!fork} is more convenient there). *)
 
 val run : ?max_steps:int -> t -> unit
-(** Execute fibers until no fiber is runnable and no timer is pending.
+(** Execute fibers until no fiber is runnable and no foreground timer is
+    pending. Virtual time then stands at the latest foreground deadline,
+    counting deadlines that {!wake_at} took out of the heap.
     @raise Failure if more than [max_steps] events execute (default 50M),
     which indicates a livelock in the simulated program. The failure message
     names the live fibers and the last few scheduling decisions, so a
@@ -119,14 +133,20 @@ val failures : t -> (string * exn) list
 val at : ?background:bool -> t -> float -> (unit -> unit) -> unit
 (** [at t time f] runs the callback at absolute virtual [time] (or now, if
     the time has passed). The callback runs in scheduler context, not in a
-    fiber: it must not block; typically it just wakes a waker or spawns.
+    fiber ({!in_fiber} is [false] there): it must not block; typically it
+    wakes a waker or spawns. A timer always fires, even when its callback
+    has become a no-op; to wake a waker at a deadline use {!wake_at}, whose
+    timer leaves the heap when the waker is woken first.
     Background timers (default false) do not keep the simulation alive:
     {!run} stops when only background timers remain. *)
 
 (** {1 Primitives callable only from inside a fiber} *)
 
 val clock : unit -> float
-(** Current virtual time. *)
+(** Current virtual time of the calling fiber's scheduler. Like {!self}
+    and {!in_fiber} it reads the slot {!run} keeps for the running fiber,
+    so it performs no effect and allocates nothing.
+    @raise Effect.Unhandled outside a fiber. *)
 
 val sleep : float -> unit
 (** Block the calling fiber for a virtual duration. *)
@@ -143,13 +163,15 @@ val fork : ?name:string -> (unit -> unit) -> fiber
 (** Spawn a fiber in the caller's group. *)
 
 val self : unit -> fiber
-(** The calling fiber's handle. *)
+(** The calling fiber's handle.
+    @raise Effect.Unhandled outside a fiber. *)
 
 val in_fiber : unit -> bool
 (** Whether the caller is running inside a fiber. Blocking primitives are
     only legal when this is [true]; dual-use library code (e.g. the WAL
     group-commit force path) checks it to degrade to synchronous behavior
-    outside the simulator. *)
+    outside the simulator. It is [false] in timer callbacks and in
+    {!suspend} registration callbacks, which run in scheduler context. *)
 
 (** {1 Building blocking primitives} *)
 
@@ -164,7 +186,19 @@ val wake : 'a waker -> 'a -> bool
 val waker_live : 'a waker -> bool
 (** Whether [wake] could still deliver (unused and fiber alive). *)
 
+val wake_at : t -> float -> 'a waker -> 'a -> unit
+(** [wake_at t time w v] wakes [w] with [v] at absolute virtual [time], as
+    [at t time (fun () -> ignore (wake w v))] would, unless [w] is woken
+    first: then its deadline leaves the timer heap at once instead of
+    firing later as a no-op. {!run} still ends no earlier than a removed
+    deadline's time, so virtual time is the same as if it had fired; only
+    its [Timer_fired] entry is missing from the trace. The timeout of
+    {!Ivar.read_timeout}, {!Cond.wait_timeout} and {!Chan.recv_timeout}.
+    [t] must be the scheduler of [w]'s fiber (the one {!suspend} hands its
+    callback); call it at most once per waker. *)
+
 val suspend : (t -> 'a waker -> unit) -> 'a
 (** Block the calling fiber; the registration callback stores the waker
-    wherever the wake-up will come from (a queue of waiters, a timer via
-    {!at}, ...). Returns when some agent calls [wake]. *)
+    wherever the wake-up will come from (a queue of waiters, a deadline via
+    {!wake_at}, ...). Returns when some agent calls [wake]. The callback
+    runs in scheduler context. *)

@@ -28,6 +28,9 @@ type txn = {
 
 type t = {
   tm_name : string;
+  (* Crash-site names, built once per TM. *)
+  site_prepared : string;
+  site_decided : string;
   wal : Wal.t;
   gc : Group_commit.t;
   inc : int;
@@ -83,6 +86,8 @@ let open_tm ?commit_policy disk ~name:tm_name =
   Group_commit.force gc;
   {
     tm_name;
+    site_prepared = "tm.prepared:" ^ tm_name;
+    site_decided = "tm.decided:" ^ tm_name;
     wal;
     gc;
     inc = !inc + 1;
@@ -276,14 +281,14 @@ let commit t txn =
       end
       else begin
         let pnames = List.map (fun p -> p.part_name) parts in
-        Rrq_sim.Crashpoint.reach ("tm.prepared:" ^ t.tm_name);
+        Rrq_sim.Crashpoint.reach t.site_prepared;
         (* The txn stays in [deciding] (answering [`Pending]) until the
            decision record is durable: under a batched force this fiber may
            park here, and resolvers must not observe a commit outcome that a
            crash could still revoke. *)
         append_decision t.gc txn.id pnames;
         Group_commit.force t.gc;
-        Rrq_sim.Crashpoint.reach ("tm.decided:" ^ t.tm_name);
+        Rrq_sim.Crashpoint.reach t.site_decided;
         Hashtbl.replace t.pending txn.id (ref pnames);
         Hashtbl.remove t.deciding txn.id;
         commit_done ();

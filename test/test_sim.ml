@@ -289,6 +289,194 @@ let test_pruned_fiber_table () =
     (List.rev !resumed);
   Alcotest.(check (list string)) "nothing left" [] (Sched.live_fibers s)
 
+let timer_fired trace =
+  List.filter_map
+    (function Sched.Timer_fired seq -> Some seq | Sched.Pick _ | Sched.Fault _ -> None)
+    (Array.to_list trace)
+
+(* A deadline whose waker is woken first leaves the timer heap: it never
+   fires, yet the run still ends where the timer would have left the clock.
+   Background timers up to that point fire as before, and the run ends. *)
+let test_removed_deadline () =
+  let got = ref None and ticks = ref 0 in
+  let s =
+    run_sim (fun s ->
+        let iv = Ivar.create () in
+        ignore
+          (Sched.spawn s ~name:"reader" (fun () ->
+               (* timer seq 1 *)
+               let v = Ivar.read_timeout iv 5.0 in
+               got := Some (v, Sched.clock ())));
+        ignore
+          (Sched.spawn s ~name:"filler" (fun () ->
+               (* timer seq 2 *)
+               Sched.sleep 1.0;
+               Ivar.fill iv 7));
+        ignore
+          (Sched.spawn s ~name:"daemon" (fun () ->
+               while true do
+                 Sched.sleep_background 0.5;
+                 incr ticks
+               done)))
+  in
+  Alcotest.(check (option (pair (option int) (float 1e-9))))
+    "filled at 1.0" (Some (Some 7, 1.0)) !got;
+  Alcotest.(check bool) "deadline never fired" false
+    (List.mem 1 (timer_fired (Sched.trace s)));
+  Alcotest.(check bool) "sleep timer fired" true (List.mem 2 (timer_fired (Sched.trace s)));
+  Alcotest.(check (float 1e-9)) "run ends at the removed deadline" 5.0 (Sched.now s);
+  (* Ticks at 0.5 .. 4.5; the one at 5.0 was armed after the deadline, so
+     it sorts after it and stays queued, as it did when the deadline fired. *)
+  Alcotest.(check int) "background ticks up to the horizon" 9 !ticks;
+  Alcotest.(check (list string)) "only the daemon is left" [ "daemon" ] (Sched.live_fibers s)
+
+let test_removed_deadlines_cond_chan () =
+  let cond_r = ref false and chan_r = ref None in
+  let s =
+    run_sim (fun s ->
+        let c = Cond.create () and ch = Chan.create () in
+        ignore (Sched.spawn s ~name:"cw" (fun () -> cond_r := Cond.wait_timeout c 4.0));
+        ignore (Sched.spawn s ~name:"rw" (fun () -> chan_r := Chan.recv_timeout ch 6.0));
+        ignore
+          (Sched.spawn s ~name:"waker" (fun () ->
+               Sched.sleep 1.0;
+               Cond.signal c;
+               Sched.sleep 1.0;
+               Chan.send ch 3)))
+  in
+  Alcotest.(check bool) "signalled" true !cond_r;
+  Alcotest.(check (option int)) "received" (Some 3) !chan_r;
+  Alcotest.(check int) "only the two sleeps fired" 2
+    (List.length (timer_fired (Sched.trace s)));
+  Alcotest.(check (float 1e-9)) "ends at the later deadline" 6.0 (Sched.now s)
+
+(* [in_fiber], [self] and [clock] read the running-fiber slot: set while a
+   fiber runs, clear in scheduler context, restored around a nested run. *)
+let test_running_fiber_slot () =
+  let raises f = match f () with _ -> false | exception Effect.Unhandled _ -> true in
+  Alcotest.(check bool) "clock raises outside a fiber" true (raises Sched.clock);
+  Alcotest.(check bool) "self raises outside a fiber" true
+    (raises (fun () -> ignore (Sched.self ())));
+  Alcotest.(check bool) "not in a fiber" false (Sched.in_fiber ());
+  let in_timer = ref true and in_register = ref true and in_body = ref false in
+  let nested = ref [] in
+  let s = Sched.create () in
+  Sched.at s 1.0 (fun () -> in_timer := Sched.in_fiber ());
+  ignore
+    (Sched.spawn s ~name:"outer" (fun () ->
+         in_body := Sched.in_fiber ();
+         Sched.suspend (fun sched w ->
+             in_register := Sched.in_fiber ();
+             Sched.at sched 2.0 (fun () -> ignore (Sched.wake w ())));
+         let me = Sched.self () in
+         let inner = Sched.create () in
+         ignore
+           (Sched.spawn inner ~name:"inner" (fun () ->
+                Sched.sleep 10.0;
+                nested := [ Sched.fiber_name (Sched.self ()); string_of_float (Sched.clock ()) ]));
+         Sched.run inner;
+         nested :=
+           !nested
+           @ [
+               string_of_bool (Sched.in_fiber ());
+               string_of_bool (Sched.self () == me);
+               string_of_float (Sched.clock ());
+             ]));
+  Sched.run s;
+  Alcotest.(check (list (pair string pass))) "no failures" [] (Sched.failures s);
+  Alcotest.(check bool) "true in a fiber" true !in_body;
+  Alcotest.(check bool) "false in a timer callback" false !in_timer;
+  Alcotest.(check bool) "false in a registration callback" false !in_register;
+  Alcotest.(check (list string)) "nested run: inner slot, then outer restored"
+    [ "inner"; "10."; "true"; "true"; "2." ] !nested;
+  Alcotest.(check bool) "clear after run" false (Sched.in_fiber ())
+
+(* Clock queries inside a fiber are plain loads: no allocation per call.
+   Performing an effect for each costs 8 minor words. *)
+let test_clock_allocation () =
+  let n = 10_000 in
+  let per_call = ref nan in
+  let _ =
+    run_sim (fun s ->
+        ignore
+          (Sched.spawn s ~name:"probe" (fun () ->
+               let measure f =
+                 let w0 = Gc.minor_words () in
+                 for _ = 1 to n do
+                   f ()
+                 done;
+                 Gc.minor_words () -. w0
+               in
+               let base = measure (fun () -> ignore (Sys.opaque_identity 0.0)) in
+               let used =
+                 measure (fun () ->
+                     ignore (Sys.opaque_identity (Sched.clock ()));
+                     ignore (Sys.opaque_identity (Sched.in_fiber ())))
+               in
+               per_call := (used -. base) /. float_of_int (2 * n))))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "clock/in_fiber allocate nothing (%.2f words/call)" !per_call)
+    true (!per_call < 0.5)
+
+(* The packed trace round-trips codes of every varint length, and a live
+   trace keeps exactly [trace_limit] decisions, the prefix of the full one. *)
+let test_packed_trace () =
+  let ds =
+    [|
+      Sched.Pick 0; Sched.Pick 63; Sched.Pick 64; Sched.Timer_fired (1 lsl 13);
+      Sched.Pick (1 lsl 27); Sched.Timer_fired (max_int lsr 1);
+    |]
+  in
+  let packed = Sched.pack_trace ds in
+  (* codes 0, 126, 128 (2^7), 2^14+1, 2^28, max_int *)
+  Alcotest.(check int) "varint lengths" (1 + 1 + 2 + 3 + 5 + 9) (String.length packed);
+  Alcotest.(check string) "roundtrip" (Sched.trace_to_string ds)
+    (Sched.trace_to_string (Sched.unpack_trace packed));
+  Alcotest.check_raises "faults are not packed"
+    (Invalid_argument "Sched.pack_trace: fault notes are not packed") (fun () ->
+      ignore (Sched.pack_trace [| Sched.Fault "x" |]));
+  Alcotest.check_raises "cut-short varint"
+    (Invalid_argument "Sched.unpack_trace: truncated varint") (fun () ->
+      ignore (Sched.unpack_trace (String.sub packed 0 (String.length packed - 1))));
+  (* Timer seqs past 2^14 and, under random priority, picks past 2^6, so
+     multi-byte codes occur in a live trace. *)
+  let program ?trace_limit policy =
+    let s = Sched.create ~policy ?trace_limit () in
+    for i = 1 to 300 do
+      ignore (Sched.spawn s ~name:"p" (fun () -> Sched.sleep (float_of_int (i mod 7))))
+    done;
+    ignore
+      (Sched.spawn s ~name:"ticker" (fun () ->
+           for _ = 1 to 20_000 do
+             Sched.sleep 0.001
+           done));
+    Sched.run s;
+    Sched.note_fault s "late";
+    s
+  in
+  let full = program (Sched.Random_priority 5) in
+  let trace = Sched.trace full in
+  Alcotest.(check bool) "full trace kept" false (Sched.trace_truncated full);
+  Alcotest.(check bool) "large timer seq" true (List.mem 20_000 (timer_fired trace));
+  Alcotest.(check bool) "multi-byte pick" true
+    (Array.exists (function Sched.Pick i -> i >= 64 | _ -> false) trace);
+  Alcotest.(check bool) "fault spliced last" true
+    (trace.(Array.length trace - 1) = Sched.Fault "late");
+  let limit = 25_000 in
+  let cut = program ~trace_limit:limit (Sched.Random_priority 5) in
+  let kept = Sched.trace cut in
+  Alcotest.(check bool) "truncated" true (Sched.trace_truncated cut);
+  Alcotest.(check string) "prefix of the full trace, then the fault"
+    (Sched.trace_to_string (Array.append (Array.sub trace 0 limit) [| Sched.Fault "late" |]))
+    (Sched.trace_to_string kept);
+  let exact = program ~trace_limit:(Array.length trace - 1) (Sched.Random_priority 5) in
+  Alcotest.(check bool) "limit = decisions is not truncated" false
+    (Sched.trace_truncated exact);
+  let replayed = program (Sched.Replay trace) in
+  Alcotest.(check string) "replay re-records the same trace"
+    (Sched.trace_to_string trace) (Sched.trace_to_string (Sched.trace replayed))
+
 let suite =
   [
     Alcotest.test_case "sleep ordering" `Quick test_sleep_order;
@@ -311,6 +499,12 @@ let suite =
       test_live_fibers_reports_blocked;
     Alcotest.test_case "many fibers" `Quick test_many_fibers;
     Alcotest.test_case "pruned fiber table" `Quick test_pruned_fiber_table;
+    Alcotest.test_case "removed deadline" `Quick test_removed_deadline;
+    Alcotest.test_case "removed deadlines: cond, chan" `Quick
+      test_removed_deadlines_cond_chan;
+    Alcotest.test_case "running-fiber slot" `Quick test_running_fiber_slot;
+    Alcotest.test_case "clock allocation bound" `Quick test_clock_allocation;
+    Alcotest.test_case "packed trace" `Quick test_packed_trace;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]
