@@ -34,10 +34,13 @@ lint-graph:
 witness:
 	dune exec bin/rrq_witness.exe
 
-# The simulation tester alone: explored schedules + crash-site sweep.
+# The simulation tester alone: explored schedules + crash-site sweeps of
+# the quickstart, main-memory and HA worlds.
 sim:
 	dune exec bin/rrq_demo.exe -- check --budget 25
 	dune exec bin/rrq_demo.exe -- check --sites
+	dune exec bin/rrq_demo.exe -- check --scenario quickstart-mm --sites
+	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
 
 # The failover campaign alone (also runs as part of `dune runtest`):
 # HA explorer + lag-bug catch + replication crash-site sweep, then the
@@ -66,12 +69,12 @@ bench:
 	dune exec bench/main.exe
 
 # The perf-path smoke (also runs as part of `dune runtest`): B1 (queue op
-# micro-costs incl. the main-memory fast path), B12 (group commit), B13
-# (sharded scale-out) and B14 (adaptive policy) at tiny iteration counts —
+# micro-costs incl. the main-memory fast path), B12 (immediate vs adaptive
+# group commit) and B13 (sharded scale-out) at tiny iteration counts —
 # exercises the measurement harness and the seal-reason counters, does not
 # produce meaningful numbers.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13 --only B14
+	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13
 
 # The repository benchmark at smoke scale: every perfbench workload for 3 s
 # with tracing on, which runs its correctness gate and its determinism and

@@ -117,7 +117,7 @@ let check_cmd =
   in
   let sites =
     Arg.(value & flag & info [ "sites" ]
-           ~doc:"Enumerate the named crash sites of the quickstart scenario \
+           ~doc:"Enumerate the named crash sites of the chosen scenario \
                  and crash at every (site, hit) combination.")
   in
   let trace_out =
@@ -136,56 +136,20 @@ let check_cmd =
     in
     if sites then begin
       let failures = ref 0 in
-      let report site hit o =
-        if C.Scenario.failed o then begin
-          incr failures;
-          Printf.printf "  %-28s hit %d  FAILED: %s\n" site hit
-            (C.Audit.findings_to_string o.C.Scenario.findings)
-        end
-      in
-      let visited =
-        match scen_name with
-        | "sharded" | "sharded-buggy" ->
-          (* Each crash-site name embeds the node that reaches it (the WAL
-             and TM bases are per-shard); kill that shard, else shard0. *)
-          let contains hay needle =
-            let nl = String.length needle and hl = String.length hay in
-            let rec go i =
-              i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
+      let visited = C.Scenario.crash_sites scenario in
+      List.iter
+        (fun (site, hits) ->
+          for hit = 1 to hits do
+            let o =
+              C.Scenario.crash_at scenario ~site ~hit ~recover_after:1.0
             in
-            go 0
-          in
-          let victim_of site =
-            match
-              List.find_opt (contains site) [ "shard0"; "shard1"; "shard2" ]
-            with
-            | Some v -> v
-            | None -> "shard0"
-          in
-          let visited = C.Scenario.sharded_crash_sites () in
-          List.iter
-            (fun (site, hits) ->
-              for hit = 1 to hits do
-                report site hit
-                  (C.Scenario.sharded_crash_at ~site ~hit
-                     ~victim:(victim_of site) ~recover_after:1.0)
-              done)
-            visited;
-          visited
-        | _ ->
-          C.Sweep.crash_sites
-            ~probe:(fun () ->
-              let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
-              ignore (C.Scenario.run scenario clean))
-            ~at:(fun ~site ~hit ->
-              let crash_at =
-                if scen_name = "quickstart-mm" then
-                  C.Scenario.quickstart_mm_crash_at
-                else C.Scenario.quickstart_crash_at
-              in
-              report site hit (crash_at ~site ~hit ~recover_after:1.0))
-            ()
-      in
+            if C.Scenario.failed o then begin
+              incr failures;
+              Printf.printf "  %-28s hit %d  FAILED: %s\n" site hit
+                (C.Audit.findings_to_string o.C.Scenario.findings)
+            end
+          done)
+        visited;
       let combos = List.fold_left (fun a (_, n) -> a + n) 0 visited in
       Printf.printf "crash-site sweep: %d sites, %d (site, hit) combinations\n"
         (List.length visited) combos;
@@ -215,7 +179,7 @@ let check_cmd =
               file;
             r.C.Scenario.rec_outcome
         in
-        Printf.printf "%s: %s (%d/%d replies, t=%.1f)\n" scenario.C.Scenario.name
+        Printf.printf "%s: %s (%d/%d replies, t=%.1f)\n" (C.Scenario.name scenario)
           (C.Audit.findings_to_string o.C.Scenario.findings)
           o.C.Scenario.replies o.C.Scenario.requests o.C.Scenario.virtual_time;
         if trace then begin

@@ -22,7 +22,7 @@ type report = {
 }
 
 let plan_of_index scenario ~seed i =
-  Plan.random ~seed:(seed + (1000 * i)) ~profile:scenario.Scenario.profile
+  Plan.random ~seed:(seed + (1000 * i)) ~profile:(Scenario.profile scenario)
 
 (* ---- shrinking --------------------------------------------------------- *)
 
@@ -85,7 +85,7 @@ let run ?(budget = 200) ?(seed = 1) ?(shrink_failures = true) scenario =
     else incr passed
   done;
   {
-    scenario = scenario.Scenario.name;
+    scenario = Scenario.name scenario;
     explored = !explored;
     passed = !passed;
     failure = !failure;

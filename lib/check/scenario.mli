@@ -12,17 +12,21 @@ type outcome = {
   virtual_time : float;  (** Virtual time at quiescence. *)
 }
 
-type t = {
-  name : string;
-  profile : Plan.profile;  (** Fault space the explorer draws plans from. *)
-  run : ?policy:Rrq_sim.Sched.policy -> Plan.t -> outcome;
-      (** Run one plan. [policy] overrides the plan's scheduling policy
-          (used to re-run a schedule under [Replay] of a recorded trace). *)
-}
+type t
+(** A checkable scenario: a closed world, the fault space the explorer
+    draws plans from, and the plan its crash-site sweeps run under. *)
+
+val name : t -> string
+
+val profile : t -> Plan.profile
+(** Fault space the explorer draws plans from. *)
 
 val failed : outcome -> bool
 
 val run : ?policy:Rrq_sim.Sched.policy -> t -> Plan.t -> outcome
+(** Run one plan to quiescence and audit. [policy] overrides the plan's
+    scheduling policy (used to re-run a schedule under [Replay] of a
+    recorded trace). *)
 
 val quickstart : t
 (** The paper's System Model on one backend site: 2 correct clerks x 2
@@ -80,55 +84,35 @@ val by_name : string -> t option
 
 (** {1 Crash-site sweeps}
 
-    The quickstart world is instrumented with named crash sites
-    ({!Rrq_sim.Crashpoint}) at WAL sync boundaries, 2PC decision points and
-    clerk/server steps. *)
+    Every world is instrumented with named crash sites
+    ({!Rrq_sim.Crashpoint}) at WAL sync boundaries, 2PC decision points,
+    clerk/server steps, and the HA and shard machinery. A sweep probes
+    which sites a scenario reaches, then crashes it at each reach. *)
 
-val quickstart_crash_sites : unit -> (string * int) list
-(** Probe run (fault-free, FIFO): every crash site reached, with hit
-    counts — the enumeration domain for {!quickstart_crash_at}. *)
+val crash_sites : t -> (string * int) list
+(** Probe run: every crash site the scenario's world reaches, with hit
+    counts — the enumeration domain for {!crash_at}. The probe plan is
+    fault-free (FIFO) except for [ha] and [ha_lagged], whose probe kills
+    the primary at t=2 so the heartbeat-miss/promote path is on the map:
+    there the sites include [ship.sent], [ship.applied],
+    [ha.heartbeat_miss] and [ha.promote]. In [sharded] they include the
+    routing sites [shard.route:<node>], [shard.forward:<node>] and
+    [shard.map_install:<node>]. *)
 
-val quickstart_crash_at :
-  site:string -> hit:int -> recover_after:float -> outcome
-(** Run quickstart with a one-shot crash armed at the [hit]-th reach of the
-    named site: the backend disk freezes immediately, the node crashes and
-    restarts [recover_after] seconds later. *)
-
-val quickstart_mm_crash_sites : unit -> (string * int) list
-(** {!quickstart_crash_sites} for the main-memory variant — the site set
-    differs (adaptive commit seals change sync boundaries). *)
-
-val quickstart_mm_crash_at :
-  site:string -> hit:int -> recover_after:float -> outcome
-(** {!quickstart_crash_at} over the main-memory request queue: redo-only
-    recovery must still deliver exactly-once at every crash site. *)
-
-val ha_crash_sites : unit -> (string * int) list
-(** Probe the HA world under a plan that kills the primary at t=2 (so the
-    heartbeat-miss/promote path is reached) and enumerate every crash site
-    hit — including the replication sites [ship.sent], [ship.applied],
-    [ha.heartbeat_miss] and [ha.promote]. *)
-
-val ha_crash_at :
-  site:string -> hit:int -> victim:string -> recover_after:float -> outcome
-(** Re-run the probe plan with a one-shot kill of [victim] (["primary"] or
-    ["backup"]) armed at the [hit]-th reach of [site]. The site may be
-    reached on the other node: killing the primary at [ship.applied] fires
-    from the backup's apply fiber, modeling death with the ack in flight. *)
-
-val sharded_crash_sites : unit -> (string * int) list
-(** Probe the sharded world fault-free (the in-scenario map change still
-    happens) and enumerate every crash site hit — including the routing
-    sites [shard.route:<node>], [shard.forward:<node>] and
-    [shard.map_install:<node>], alongside each shard's own [wal.*]/[tm.*]
-    sites (whose names embed the shard node). *)
-
-val sharded_crash_at :
-  site:string -> hit:int -> victim:string -> recover_after:float -> outcome
-(** Re-run the sharded probe with a one-shot kill of [victim] (a shard
-    node name) armed at the [hit]-th reach of [site]. A [shard.forward:*]
-    site is reached on the relaying node while the victim may be the owner
-    it relays to — death with the forwarded operation in flight. *)
+val crash_at :
+  ?victim:string -> t -> site:string -> hit:int -> recover_after:float ->
+  outcome
+(** Re-run the probe plan with a one-shot kill of [victim] (a node name)
+    armed at the [hit]-th reach of [site]: the victim's disk freezes
+    immediately, a [Fault "crashpoint <site> kills <victim>"] note joins
+    the decision trace, and the node restarts [recover_after] seconds
+    later. The site may be reached on another node: killing the primary
+    at [ship.applied] fires from the backup's apply fiber (death with the
+    ack in flight), and a [shard.forward:*] site fires on the relaying
+    node while the victim may be the owner it relays to. By default the
+    victim is the crash node ({!Plan.profile}) the site name embeds (WAL,
+    TM and routing site names embed their node), or else the profile's
+    first crash node. *)
 
 (** {1 Recorded runs}
 

@@ -1,15 +1,10 @@
-(* Crash-point enumeration, generalizing the hand-rolled loops of the
-   crash-point and group-commit tests:
-
-   - [disk_sweep]: the durability-boundary sweep — count the sync
-     operations of a clean run, then re-run the workload once per boundary
-     with the disk frozen exactly there and audit recovery;
-   - [crash_sites]: the named-crash-site sweep — probe which
-     [Rrq_sim.Crashpoint] sites a scenario reaches (and how often), then
-     visit every (site, hit) combination. *)
+(* The durability-boundary sweep, generalizing the hand-rolled loops of
+   the crash-point and group-commit tests: count the sync operations of a
+   clean run, then re-run the workload once per boundary with the disk
+   frozen exactly there and audit recovery. (The named-crash-site sweep
+   lives with the worlds it crashes: [Scenario.crash_sites].) *)
 
 module Disk = Rrq_storage.Disk
-module Crashpoint = Rrq_sim.Crashpoint
 
 let run_fiber f = Runner.run_scenario (fun _s () -> f ())
 
@@ -36,21 +31,3 @@ let disk_sweep ~make ~workload ~audit () =
         audit ~point disk)
   done;
   total
-
-let crash_sites ?(only = fun _ -> true) ~probe ~at () =
-  let counts =
-    Crashpoint.reset ();
-    Fun.protect ~finally:Crashpoint.disable (fun () ->
-        probe ();
-        Crashpoint.hit_counts ())
-  in
-  let visited =
-    List.filter (fun (site, _) -> only site) counts
-  in
-  List.iter
-    (fun (site, n) ->
-      for hit = 1 to n do
-        at ~site ~hit
-      done)
-    visited;
-  visited

@@ -1,6 +1,7 @@
-(** Crash-point enumerators: exhaustively crash a workload at every
-    durability boundary or at every named crash site, instead of at a few
-    hand-picked points. *)
+(** Crash-point enumeration: exhaustively crash a workload at every
+    durability boundary instead of at a few hand-picked points. Named crash
+    sites are swept per scenario with {!Scenario.crash_sites} and
+    {!Scenario.crash_at}. *)
 
 val disk_sweep :
   make:(int -> Rrq_storage.Disk.t) ->
@@ -14,16 +15,3 @@ val disk_sweep :
     workload (the disk freezes at boundary [p]), revive and [audit ~point:p].
     Each run executes inside its own simulation fiber. Returns the number
     of boundaries swept. *)
-
-val crash_sites :
-  ?only:(string -> bool) ->
-  probe:(unit -> unit) ->
-  at:(site:string -> hit:int -> unit) ->
-  unit ->
-  (string * int) list
-(** Enumerate named crash sites ({!Rrq_sim.Crashpoint}): run [probe] once
-    with the registry counting to learn which sites are reached and how
-    often, then call [at] for every (site, hit) combination (sites filtered
-    by [only]). [at] is expected to re-run the scenario with a crash armed
-    at that combination and assert its own invariants. Returns the probed
-    (site, hits) list. *)

@@ -1,5 +1,5 @@
 (** Highly-available queues: a primary-backup repository pair built from
-    WAL shipping (paper §11 taken from the two-copy demo to a full role
+    WAL shipping (paper §11's replicated queues as a full role
     protocol).
 
     The {e primary} runs the normal site stack and ships every sealed WAL

@@ -40,7 +40,6 @@ module Pipeline = Rrq_core.Pipeline
 module Interactive = Rrq_core.Interactive
 module Forwarder = Rrq_core.Forwarder
 module Autoscale = Rrq_core.Autoscale
-module Replica = Rrq_core.Replica
 module Stream_clerk = Rrq_core.Stream_clerk
 
 (* observability *)

@@ -5,7 +5,6 @@ module Codec = Rrq_util.Codec
 
 type policy =
   | Immediate
-  | Batch of { max_delay : float; max_batch : int }
   | Adaptive of { max_delay : float; max_batch : int }
 
 (* EWMA weight for inter-arrival samples. High enough to track a load
@@ -253,8 +252,8 @@ let board t lsn =
    The estimate [expected = sync_latency / ewma] is the number of commits
    that would arrive while one flush occupies the device. Below ~1.5 the
    device is keeping up — batching would only add latency, so seal
-   immediately ([`Idle]; this is what restores the 1-server Immediate
-   throughput that a fixed window gives away). Above it, the device is
+   immediately ([`Idle]), which keeps 1-server throughput at Immediate's
+   instead of taxing every commit with a window. Above it, the device is
    the bottleneck: hold the batch for [target = min expected max_batch]
    boarders, with a window bounded by both [max_delay] and the time the
    estimate says those boarders need to show up. *)
@@ -291,35 +290,7 @@ let force t =
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.inc ("gc.forces:" ^ Wal.name t.wal);
     match t.pol with
-    | Immediate ->
-      do_sync t;
-      observe_batch t `Immediate 1
-    | (Batch _ | Adaptive _) when not (Sched.in_fiber ()) ->
-      do_sync t;
-      observe_batch t `Immediate 1
-    | Batch { max_delay; max_batch } ->
-      if t.leading then begin
-        (* Follower: the leader's sync will cover our records (it flushes
-           everything appended up to the moment it runs). Park. *)
-        t.target <- max_batch;
-        board t lsn
-      end
-      else begin
-        t.leading <- true;
-        t.target <- max_batch;
-        (* Accumulation window: give concurrent committers a chance to
-           board; a full batch cuts it short. *)
-        let reason =
-          if max_delay > 0.0 && List.length t.waiters + 1 < max_batch then
-            (if Cond.wait_timeout t.full max_delay then `Full else `Timeout)
-          else `Full
-        in
-        do_sync t;
-        t.leading <- false;
-        let covered = wake_covered t in
-        observe_batch t reason (covered + 1)
-      end
-    | Adaptive { max_delay; max_batch } ->
+    | Adaptive { max_delay; max_batch } when Sched.in_fiber () ->
       if t.leading then board t lsn
       else begin
         (* Leader even when sealing immediately: committers arriving while
@@ -334,6 +305,9 @@ let force t =
         let covered = wake_covered t in
         observe_batch t reason (covered + 1)
       end
+    | Immediate | Adaptive _ ->
+      do_sync t;
+      observe_batch t `Immediate 1
   end;
   (* Synchronous shipping gates the commit exactly like durability does:
      a committer's records must be on the backup before [force] returns.

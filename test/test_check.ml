@@ -8,7 +8,8 @@
      auditor, and the intentionally buggy clerk (untagged blind re-Send) is
      caught and shrunk to a minimal still-failing plan;
    - the crash-site enumerator: every (site, hit) combination of the
-     quickstart world recovers cleanly;
+     quickstart world recovers cleanly, and every scenario's sweep crashes
+     its own world;
    - the HA pair: >= 200 random fault plans (primary kills, client
      partitions) pass every auditor through failover, the lag-buggy
      shipper is caught and shrunk, and killing the primary at every
@@ -107,7 +108,7 @@ let test_step_limit_diagnostics () =
 
 (* ---- plan codec --------------------------------------------------------- *)
 
-let profile = C.Scenario.quickstart.C.Scenario.profile
+let profile = C.Scenario.profile C.Scenario.quickstart
 
 let test_plan_codec () =
   for seed = 1 to 50 do
@@ -207,46 +208,82 @@ let test_replay_reproduces_failure () =
 
 (* ---- the crash-site enumerator ------------------------------------------ *)
 
-let test_crash_site_sweep () =
+let starts_with prefix site =
+  String.length site >= String.length prefix
+  && String.sub site 0 (String.length prefix) = prefix
+
+let has_prefix prefixes site = List.exists (fun p -> starts_with p site) prefixes
+
+(* Crash [scenario] at every reach of every probed site that [only] keeps.
+   Returns the probed sites, the number of (site, hit) runs and the
+   failing ones. *)
+let sweep ?(only = fun _ -> true) ?victim ~recover_after scenario =
+  let visited = C.Scenario.crash_sites scenario in
   let failures = ref [] in
-  let visited =
-    C.Sweep.crash_sites
-      ~probe:(fun () ->
-        let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
-        ignore (C.Scenario.run C.Scenario.quickstart clean))
-      ~at:(fun ~site ~hit ->
-        let o = C.Scenario.quickstart_crash_at ~site ~hit ~recover_after:1.0 in
-        if C.Scenario.failed o then
-          failures :=
-            Printf.sprintf "%s hit %d: %s" site hit
-              (C.Audit.findings_to_string o.C.Scenario.findings)
-            :: !failures)
-      ()
+  let combos = ref 0 in
+  List.iter
+    (fun (site, hits) ->
+      if only site then
+        for hit = 1 to hits do
+          incr combos;
+          let o =
+            C.Scenario.crash_at ?victim scenario ~site ~hit ~recover_after
+          in
+          if C.Scenario.failed o then
+            failures :=
+              Printf.sprintf "%s hit %d: %s" site hit
+                (C.Audit.findings_to_string o.C.Scenario.findings)
+              :: !failures
+        done)
+    visited;
+  (visited, !combos, List.rev !failures)
+
+let test_crash_site_sweep () =
+  let visited, combos, failures =
+    sweep ~recover_after:1.0 C.Scenario.quickstart
   in
-  let has prefix =
-    List.exists
-      (fun (site, _) ->
-        String.length site >= String.length prefix
-        && String.sub site 0 (String.length prefix) = prefix)
-      visited
-  in
+  let has prefix = List.exists (fun (site, _) -> starts_with prefix site) visited in
   Alcotest.(check bool) "probe found WAL sync sites" true (has "wal.sync:");
   Alcotest.(check bool) "probe found 2PC decision sites" true (has "tm.");
   Alcotest.(check bool) "probe found clerk sites" true (has "clerk.");
   Alcotest.(check bool) "probe found the server commit site" true
     (has "server.handled:req");
-  let combos = List.fold_left (fun a (_, n) -> a + n) 0 visited in
   Alcotest.(check bool)
     (Printf.sprintf "swept a substantial site space (%d combos)" combos)
     true (combos >= 50);
   Alcotest.(check (list string)) "every crash point recovered cleanly" []
-    (List.rev !failures)
+    failures
+
+(* Every scenario's crash sweep crashes its own world: the probe reaches
+   sites, and an armed run at the first of them leaves its crash note in
+   that world's decision trace. For [ha], a crash at [ship.sent] — a site
+   only the HA world has — must fire there. *)
+let crash_noted site (o : C.Scenario.outcome) =
+  Array.exists
+    (function
+      | Sched.Fault note -> starts_with ("crashpoint " ^ site ^ " ") note
+      | _ -> false)
+    o.C.Scenario.trace
+
+let test_sweeps_crash_their_own_world () =
+  List.iter
+    (fun s ->
+      let name = C.Scenario.name s in
+      match C.Scenario.crash_sites s with
+      | [] -> Alcotest.failf "%s: the probe reached no crash site" name
+      | (site, _) :: _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: crash at %s hit 1 is in the trace" name site)
+          true
+          (crash_noted site
+             (C.Scenario.crash_at s ~site ~hit:1 ~recover_after:1.0)))
+    C.Scenario.all;
+  Alcotest.(check bool) "ha: ship.sent fires in the HA world" true
+    (crash_noted "ship.sent"
+       (C.Scenario.crash_at C.Scenario.ha ~site:"ship.sent" ~hit:1
+          ~recover_after:1.0))
 
 (* ---- main-memory queue mode under crash sweeps --------------------------- *)
-
-let starts_with prefix site =
-  String.length site >= String.length prefix
-  && String.sub site 0 (String.length prefix) = prefix
 
 (* The redo-only recovery claim behind the main-memory fast path: with the
    request queue in [Main_memory] durability, element payload and order
@@ -258,23 +295,9 @@ let starts_with prefix site =
 let mm_swept_prefixes = [ "wal.sync:"; "wal.synced:"; "tm.prepared"; "tm.decided" ]
 
 let test_mm_crash_sweep () =
-  let failures = ref [] in
-  let visited =
-    C.Sweep.crash_sites
-      ~only:(fun site -> List.exists (fun p -> starts_with p site) mm_swept_prefixes)
-      ~probe:(fun () ->
-        let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
-        ignore (C.Scenario.run C.Scenario.quickstart_mm clean))
-      ~at:(fun ~site ~hit ->
-        let o =
-          C.Scenario.quickstart_mm_crash_at ~site ~hit ~recover_after:1.0
-        in
-        if C.Scenario.failed o then
-          failures :=
-            Printf.sprintf "%s hit %d: %s" site hit
-              (C.Audit.findings_to_string o.C.Scenario.findings)
-            :: !failures)
-      ()
+  let visited, combos, failures =
+    sweep ~only:(has_prefix mm_swept_prefixes) ~recover_after:1.0
+      C.Scenario.quickstart_mm
   in
   List.iter
     (fun p ->
@@ -283,20 +306,18 @@ let test_mm_crash_sweep () =
         true
         (List.exists (fun (site, _) -> starts_with p site) visited))
     mm_swept_prefixes;
-  let combos = List.fold_left (fun a (_, n) -> a + n) 0 visited in
   Alcotest.(check bool)
     (Printf.sprintf "swept a substantial mm site space (%d combos)" combos)
     true (combos >= 20);
   Alcotest.(check (list string))
-    "every mm crash point recovered to exactly-once" []
-    (List.rev !failures)
+    "every mm crash point recovered to exactly-once" [] failures
 
 (* The explorer over the mm scenario: random fault plans (crashes,
    partitions, delays) against the main-memory queue must pass every
    auditor, same as the stable quickstart. *)
 let test_mm_explore () =
   (match C.Scenario.by_name "quickstart-mm" with
-  | Some s -> Alcotest.(check string) "registered" "quickstart-mm" s.C.Scenario.name
+  | Some s -> Alcotest.(check string) "registered" "quickstart-mm" (C.Scenario.name s)
   | None -> Alcotest.fail "quickstart-mm not in the scenario registry");
   let report = C.Explore.run ~budget:100 ~seed:2 C.Scenario.quickstart_mm in
   Alcotest.(check int) "explored the whole budget" 100 report.C.Explore.explored;
@@ -311,7 +332,7 @@ let test_mm_explore () =
    pass all five auditors through whatever failover the plan provokes. *)
 let test_ha_explore () =
   (match C.Scenario.by_name "ha" with
-  | Some s -> Alcotest.(check string) "registered" "ha" s.C.Scenario.name
+  | Some s -> Alcotest.(check string) "registered" "ha" (C.Scenario.name s)
   | None -> Alcotest.fail "ha not in the scenario registry");
   let report = C.Explore.run ~budget:200 ~seed:1 C.Scenario.ha in
   Alcotest.(check int) "explored the whole budget" 200 report.C.Explore.explored;
@@ -325,7 +346,7 @@ let test_ha_explore () =
    escaped — and ddmin must shrink the plan to one that still fails. *)
 let test_ha_lagged_caught_and_shrunk () =
   (match C.Scenario.by_name "ha-lagged" with
-  | Some s -> Alcotest.(check string) "registered" "ha-lagged" s.C.Scenario.name
+  | Some s -> Alcotest.(check string) "registered" "ha-lagged" (C.Scenario.name s)
   | None -> Alcotest.fail "ha-lagged not in the scenario registry");
   let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
   Alcotest.(check bool) "fault-free lagged run passes" false
@@ -356,38 +377,22 @@ let test_ha_lagged_caught_and_shrunk () =
 let ha_swept_prefixes = [ "ship."; "ha." ]
 
 let test_ha_crash_site_sweep () =
-  let visited = C.Scenario.ha_crash_sites () in
+  let visited, combos, failures =
+    sweep ~only:(has_prefix ha_swept_prefixes) ~victim:"primary"
+      ~recover_after:4.0 C.Scenario.ha
+  in
   List.iter
     (fun site ->
       Alcotest.(check bool)
         (Printf.sprintf "probe reaches %s" site)
         true (List.mem_assoc site visited))
     [ "ship.sent"; "ship.applied"; "ha.heartbeat_miss"; "ha.promote" ];
-  let failures = ref [] in
-  let combos = ref 0 in
-  List.iter
-    (fun (site, hits) ->
-      if List.exists (fun p -> starts_with p site) ha_swept_prefixes then
-        for hit = 1 to hits do
-          incr combos;
-          let o =
-            C.Scenario.ha_crash_at ~site ~hit ~victim:"primary"
-              ~recover_after:4.0
-          in
-          if C.Scenario.failed o then
-            failures :=
-              Printf.sprintf "%s hit %d: %s" site hit
-                (C.Audit.findings_to_string o.C.Scenario.findings)
-              :: !failures
-        done)
-    visited;
   Alcotest.(check bool)
     (Printf.sprintf "swept a substantial replication site space (%d combos)"
-       !combos)
-    true (!combos >= 50);
+       combos)
+    true (combos >= 50);
   Alcotest.(check (list string))
-    "every replication crash point failed over cleanly" []
-    (List.rev !failures)
+    "every replication crash point failed over cleanly" [] failures
 
 (* ---- the sharded multi-repository world --------------------------------- *)
 
@@ -399,7 +404,7 @@ let test_ha_crash_site_sweep () =
    summed across shards, queue-integrity and no-in-doubt. *)
 let test_sharded_explore () =
   (match C.Scenario.by_name "sharded" with
-  | Some s -> Alcotest.(check string) "registered" "sharded" s.C.Scenario.name
+  | Some s -> Alcotest.(check string) "registered" "sharded" (C.Scenario.name s)
   | None -> Alcotest.fail "sharded not in the scenario registry");
   let report = C.Explore.run ~budget:200 ~seed:1 C.Scenario.sharded in
   Alcotest.(check int) "explored the whole budget" 200 report.C.Explore.explored;
@@ -415,7 +420,7 @@ let test_sharded_explore () =
 let test_sharded_anomaly_caught_and_shrunk () =
   (match C.Scenario.by_name "sharded-buggy" with
   | Some s ->
-    Alcotest.(check string) "registered" "sharded-buggy" s.C.Scenario.name
+    Alcotest.(check string) "registered" "sharded-buggy" (C.Scenario.name s)
   | None -> Alcotest.fail "sharded-buggy not in the scenario registry");
   let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
   Alcotest.(check bool) "fault-free buggy run passes" false
@@ -459,13 +464,11 @@ let test_sharded_anomaly_caught_and_shrunk () =
    cross-shard tm.prepared/tm.decided are all on the map. *)
 let shard_swept_prefixes = [ "shard."; "wal."; "tm." ]
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_sharded_crash_site_sweep () =
-  let visited = C.Scenario.sharded_crash_sites () in
+  let visited, combos, failures =
+    sweep ~only:(has_prefix shard_swept_prefixes) ~recover_after:1.0
+      C.Scenario.sharded
+  in
   List.iter
     (fun site ->
       Alcotest.(check bool)
@@ -482,36 +485,11 @@ let test_sharded_crash_site_sweep () =
       "tm.prepared:shard1";
       "wal.sync:qm@shard2.qmlog";
     ];
-  let victim_of site =
-    match
-      List.find_opt (contains site) [ "shard0"; "shard1"; "shard2" ]
-    with
-    | Some v -> v
-    | None -> "shard0"
-  in
-  let failures = ref [] in
-  let combos = ref 0 in
-  List.iter
-    (fun (site, hits) ->
-      if List.exists (fun p -> starts_with p site) shard_swept_prefixes then
-        for hit = 1 to hits do
-          incr combos;
-          let o =
-            C.Scenario.sharded_crash_at ~site ~hit ~victim:(victim_of site)
-              ~recover_after:1.0
-          in
-          if C.Scenario.failed o then
-            failures :=
-              Printf.sprintf "%s hit %d: %s" site hit
-                (C.Audit.findings_to_string o.C.Scenario.findings)
-              :: !failures
-        done)
-    visited;
   Alcotest.(check bool)
-    (Printf.sprintf "swept a substantial shard site space (%d combos)" !combos)
-    true (!combos >= 100);
+    (Printf.sprintf "swept a substantial shard site space (%d combos)" combos)
+    true (combos >= 100);
   Alcotest.(check (list string)) "every shard crash point recovered cleanly" []
-    (List.rev !failures)
+    failures
 
 (* ---- recorded runs: the observability layer under the checker ----------- *)
 
@@ -626,7 +604,11 @@ let () =
             test_replay_reproduces_failure;
         ] );
       ( "crashpoints",
-        [ Alcotest.test_case "exhaustive site sweep" `Slow test_crash_site_sweep ] );
+        [
+          Alcotest.test_case "exhaustive site sweep" `Slow test_crash_site_sweep;
+          Alcotest.test_case "every sweep crashes its own world" `Quick
+            test_sweeps_crash_their_own_world;
+        ] );
       ( "main-memory",
         [
           Alcotest.test_case "mm crash sweep: wal.sync/synced, tm.prepared/decided"

@@ -106,24 +106,27 @@ let check_invariants ~point (tag, first_present, second_present, got) =
 
 (* The same invariants must hold whether commit points force the log
    one-by-one (Immediate, the default) or through the batched group-commit
-   path, which reorders the apply/force interleaving. *)
+   path, which reorders the apply/force interleaving. The adaptive run
+   gets a 1ms flush, without which its leader would never park anyone. *)
 let policies =
   [
-    ("immediate", None);
-    ( "batch",
+    ("immediate", None, 0.0);
+    ( "adaptive",
       Some
-        (Rrq_wal.Group_commit.Batch { max_delay = 0.0005; max_batch = 64 }) );
+        (Rrq_wal.Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 }),
+      0.001 );
   ]
 
 let test_sweep () =
   List.iter
-    (fun (pname, commit_policy) ->
+    (fun (pname, commit_policy, sync_latency) ->
       (* The generic enumerator counts the durability boundaries on a clean
          run (point 0, which must also show the fully-durable end state),
          then freezes the disk at every boundary and audits recovery. *)
       let total_syncs =
         Rrq_check.Sweep.disk_sweep
-          ~make:(fun point -> Disk.create (Printf.sprintf "%s-sweep%d" pname point))
+          ~make:(fun point ->
+            Disk.create ~sync_latency (Printf.sprintf "%s-sweep%d" pname point))
           ~workload:(workload ?commit_policy)
           ~audit:(fun ~point disk ->
             let audit = recover_and_audit disk in
@@ -176,7 +179,10 @@ let test_double_crash_sweep () =
 let crashed_site_in_trace ~site =
   Obs.reset ();
   Fun.protect ~finally:Obs.disable (fun () ->
-      let o = C.Scenario.quickstart_crash_at ~site ~hit:1 ~recover_after:1.0 in
+      let o =
+        C.Scenario.crash_at C.Scenario.quickstart ~site ~hit:1
+          ~recover_after:1.0
+      in
       let fired =
         List.filter
           (fun (_, e) ->
@@ -194,7 +200,7 @@ let crashed_site_in_trace ~site =
         false (C.Scenario.failed o))
 
 let quickstart_sites () =
-  let sites = C.Scenario.quickstart_crash_sites () in
+  let sites = C.Scenario.crash_sites C.Scenario.quickstart in
   Alcotest.(check bool) "the probe finds a rich site space" true
     (List.length sites > 10);
   List.map fst sites

@@ -155,7 +155,7 @@ let test_kill_primary_at_ship_sent () =
   (* The backup holds the first batch and has acked it; the primary dies
      before releasing the committer (no reply escaped). *)
   check_pass "kill at ship.sent"
-    (Scenario.ha_crash_at ~site:"ship.sent" ~hit:1 ~victim:"primary"
+    (Scenario.crash_at Scenario.ha ~victim:"primary" ~site:"ship.sent" ~hit:1
        ~recover_after:6.0)
 
 let test_kill_primary_at_ship_applied () =
@@ -163,7 +163,7 @@ let test_kill_primary_at_ship_applied () =
      the primary dies mid-RPC, the shipped effects must survive on the
      promoted standby exactly once. *)
   check_pass "kill at ship.applied"
-    (Scenario.ha_crash_at ~site:"ship.applied" ~hit:1 ~victim:"primary"
+    (Scenario.crash_at Scenario.ha ~victim:"primary" ~site:"ship.applied" ~hit:1
        ~recover_after:6.0)
 
 let test_kill_backup_during_promote () =
@@ -171,7 +171,7 @@ let test_kill_backup_during_promote () =
      next incarnation must detect the still-dead primary and promote
      again, and the auditors must hold across the repeated takeover. *)
   check_pass "kill during promote"
-    (Scenario.ha_crash_at ~site:"ha.promote" ~hit:1 ~victim:"backup"
+    (Scenario.crash_at Scenario.ha ~victim:"backup" ~site:"ha.promote" ~hit:1
        ~recover_after:4.0)
 
 let test_double_failover () =
