@@ -35,12 +35,19 @@ witness:
 	dune exec bin/rrq_witness.exe
 
 # The simulation tester alone: explored schedules + crash-site sweeps of
-# the quickstart, main-memory and HA worlds.
+# the quickstart, main-memory and HA worlds, then the quickstart, HA and
+# sharded worlds again with every site checkpointing after 2 log records,
+# so the checkpoint crash sites (TM logs, the standby's tmship store) are
+# reached and audited.
 sim:
 	dune exec bin/rrq_demo.exe -- check --budget 25
 	dune exec bin/rrq_demo.exe -- check --sites
 	dune exec bin/rrq_demo.exe -- check --scenario quickstart-mm --sites
 	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
+	@for s in quickstart ha sharded; do \
+	  dune exec bin/rrq_demo.exe -- check --scenario $$s --checkpoint-every 2 --budget 25 || exit 1; \
+	  dune exec bin/rrq_demo.exe -- check --scenario $$s --checkpoint-every 2 --sites || exit 1; \
+	done
 
 # The failover campaign alone (also runs as part of `dune runtest`):
 # HA explorer + lag-bug catch + replication crash-site sweep, then the

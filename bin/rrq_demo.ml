@@ -120,19 +120,30 @@ let check_cmd =
            ~doc:"Enumerate the named crash sites of the chosen scenario \
                  and crash at every (site, hit) combination.")
   in
+  let checkpoint_every =
+    Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"N"
+           ~doc:"Build every site with this janitor checkpoint cadence (log \
+                 records; the site default is 500), so explored schedules \
+                 and crash-site sweeps reach the checkpoint crash sites.")
+  in
   let trace_out =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
            ~doc:"With --replay: record the run under the observability layer \
                  and write its JSON-lines trace-event dump to FILE (the \
                  trace-based exactly-once auditor joins the audit).")
   in
-  let run scen_name budget seed replay trace sites trace_out =
+  let run scen_name budget seed replay trace sites checkpoint_every trace_out =
     let scenario =
       match C.Scenario.by_name scen_name with
       | Some s -> s
       | None ->
         Printf.eprintf "unknown scenario %S (try quickstart, quickstart-mm, ha, ha-lagged, sharded, sharded-buggy or buggy)\n" scen_name;
         exit 2
+    in
+    let scenario =
+      match checkpoint_every with
+      | Some n -> C.Scenario.with_checkpoint_every n scenario
+      | None -> scenario
     in
     if sites then begin
       let failures = ref 0 in
@@ -198,7 +209,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Deterministic simulation testing: explore fault \
                             schedules, enumerate crash points, replay repros")
     Term.(const run $ scenario_arg $ budget $ seed $ replay $ trace $ sites
-          $ trace_out)
+          $ checkpoint_every $ trace_out)
 
 let stats_cmd =
   let module C = Rrq_check in

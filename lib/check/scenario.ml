@@ -51,7 +51,9 @@ type t = {
   profile : Plan.profile;
   probe : Plan.t;  (* the plan crash-site sweeps run under *)
   requests : int;
+  checkpoint_every : int option;  (* every site's janitor cadence *)
   build :
+    ?checkpoint_every:int ->
     Net.t ->
     (string * Site.t) list
     * (client_node:Net.node -> replies:int ref -> Audit.finding list);
@@ -59,6 +61,7 @@ type t = {
 
 let name t = t.name
 let profile t = t.profile
+let with_checkpoint_every n t = { t with checkpoint_every = Some n }
 let failed o = o.findings <> []
 
 (* ---- the world runner --------------------------------------------------- *)
@@ -122,7 +125,7 @@ let run_world ?armed ?policy t (plan : Plan.t) =
           let net =
             Net.create ~latency:0.005 s (Rng.create ((plan.Plan.seed * 7) + 1))
           in
-          let sites, main = t.build net in
+          let sites, main = t.build ?checkpoint_every:t.checkpoint_every net in
           let client_node = Net.make_node net "client" in
           inject s net sites plan;
           Option.iter (arm s net) armed;
@@ -217,8 +220,9 @@ let run_clients ~name ~clients ~settle client auditors =
 
 let any_reply ~rid:_ _ = true
 
-let make_site net ?commit_policy ?(queue_attrs = Qm.default_attrs) name =
-  Site.create ?commit_policy
+let make_site net ?commit_policy ?checkpoint_every
+    ?(queue_attrs = Qm.default_attrs) name =
+  Site.create ?commit_policy ?checkpoint_every
     ~queues:[ ("req", queue_attrs) ]
     ~stale_timeout:3.0 (Net.make_node net name)
 
@@ -253,8 +257,10 @@ let quickstart_rids = rids "c" ~clients:quickstart_clients
    runs the same closed world over a [Main_memory] request queue with
    adaptive group commit, so every auditor (exactly-once above all) gets
    exercised against redo-only recovery. *)
-let build_quickstart ?queue_attrs ?commit_policy net =
-  let site = make_site net ?commit_policy ?queue_attrs "backend" in
+let build_quickstart ?queue_attrs ?commit_policy ?checkpoint_every net =
+  let site =
+    make_site net ?commit_policy ?checkpoint_every ?queue_attrs "backend"
+  in
   ignore (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
   ( [ ("backend", site) ],
     fun ~client_node ~replies ->
@@ -281,7 +287,9 @@ let quickstart =
     profile = quickstart_profile;
     probe = fault_free;
     requests = List.length quickstart_rids;
-    build = (fun net -> build_quickstart net);
+    checkpoint_every = None;
+    build =
+      (fun ?checkpoint_every net -> build_quickstart ?checkpoint_every net);
   }
 
 (* Same world, main-memory request queue + adaptive group commit: element
@@ -293,10 +301,13 @@ let quickstart_mm =
     quickstart with
     name = "quickstart-mm";
     build =
-      build_quickstart
-        ~queue_attrs:{ Qm.default_attrs with durability = Qm.Main_memory }
-        ~commit_policy:
-          (Rrq_wal.Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 });
+      (fun ?checkpoint_every net ->
+        build_quickstart ?checkpoint_every
+          ~queue_attrs:{ Qm.default_attrs with durability = Qm.Main_memory }
+          ~commit_policy:
+            (Rrq_wal.Group_commit.Adaptive
+               { max_delay = 0.0005; max_batch = 64 })
+          net);
   }
 
 (* ---- HA pair: primary-backup WAL shipping with clerk failover ----------- *)
@@ -308,9 +319,9 @@ let ha_rids = rids "h" ~clients:ha_clients
    reply per rid — the [reply_delivery] auditor's evidence of what escaped
    to the client. A stray duplicate of an older request is counted, and the
    client keeps waiting for its own. *)
-let build_ha ~mode net =
-  let site_p = make_site net "primary" in
-  let site_b = make_site net "backup" in
+let build_ha ~mode ?checkpoint_every net =
+  let site_p = make_site net ?checkpoint_every "primary" in
+  let site_b = make_site net ?checkpoint_every "backup" in
   let serve ha =
     ignore
       (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
@@ -376,6 +387,7 @@ let ha =
         ~faults:
           [ Plan.Crash { node = "primary"; at = 2.0; recover_after = 6.0 } ];
     requests = List.length ha_rids;
+    checkpoint_every = None;
     build = build_ha ~mode:Ha.Sync;
   }
 
@@ -424,11 +436,11 @@ let shard_map_v2 = { shard_map_v1 with Shard.version = 2; pins = [] }
    Clients pause between requests so the second one straddles the map
    change (the pause beats [shard_map_change_at] even when outages delay
    the first request — later is fine, the map only gets newer). *)
-let build_sharded ~buggy net =
+let build_sharded ~buggy ?checkpoint_every net =
   let sites =
     List.map
       (fun name ->
-        let site = make_site net name in
+        let site = make_site net ?checkpoint_every name in
         ignore
           (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
         ignore (Shard.attach ~untag_forward_bug:buggy site shard_map_v1);
@@ -493,6 +505,7 @@ let sharded =
     profile = sharded_profile;
     probe = fault_free;
     requests = List.length sharded_rids;
+    checkpoint_every = None;
     build = build_sharded ~buggy:false;
   }
 
@@ -510,8 +523,8 @@ let sharded_buggy =
 
 let buggy_rids = List.init 6 (Printf.sprintf "bug-r%d")
 
-let build_buggy net =
-  let site = make_site net "backend" in
+let build_buggy ?checkpoint_every net =
+  let site = make_site net ?checkpoint_every "backend" in
   ignore (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
   ( [ ("backend", site) ],
     fun ~client_node ~replies ->
@@ -595,6 +608,7 @@ let buggy_clerk =
     profile = quickstart_profile;
     probe = fault_free;
     requests = List.length buggy_rids;
+    checkpoint_every = None;
     build = build_buggy;
   }
 

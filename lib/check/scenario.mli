@@ -21,6 +21,12 @@ val name : t -> string
 val profile : t -> Plan.profile
 (** Fault space the explorer draws plans from. *)
 
+val with_checkpoint_every : int -> t -> t
+(** The same scenario with every site's janitor checkpointing its logs
+    after this many records (the site default is 500, which the small
+    worlds never reach). A small cadence puts the checkpoint crash sites
+    ([wal.ckpt:<node>.tmlog], [wal.ckpt:tmship], ...) on the sweep map. *)
+
 val failed : outcome -> bool
 
 val run : ?policy:Rrq_sim.Sched.policy -> t -> Plan.t -> outcome

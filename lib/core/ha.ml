@@ -5,7 +5,7 @@ module Disk = Rrq_storage.Disk
 module Wal = Rrq_wal.Wal
 module Group_commit = Rrq_wal.Group_commit
 module Tm = Rrq_txn.Tm
-module Txid = Rrq_txn.Txid
+module Shipped_decisions = Rrq_txn.Shipped_decisions
 module Qm = Rrq_qm.Qm
 module Kvdb = Rrq_kvdb.Kvdb
 
@@ -46,10 +46,12 @@ type t = {
      may proceed (rounds that race the install park on this flag). *)
   mutable link_up : bool;
   mutable synced : bool;
-  (* Standby side: shipped TM decision stream, kept in its own WAL so a
-     backup crash recovers the decision table natively. *)
-  mutable tmship : Wal.t option;
-  decisions : (Txid.t, unit) Hashtbl.t;
+  (* Standby side: the shipped commit decisions its participants still
+     hold prepared (opened at boot), and the peer's participant names as
+     the decisions spell them. *)
+  mutable decided : Shipped_decisions.t option;
+  peer_qm : string;
+  peer_kv : string;
   mutable applied_bytes : int;
   (* Accounting. *)
   mutable n_ship_batches : int;
@@ -99,6 +101,9 @@ let resyncs t = t.n_resyncs
 let ship_batches t = t.n_ship_batches
 let applied_bytes t = t.applied_bytes
 let last_promote_at t = t.last_promote_at
+
+let decisions_kept t =
+  match t.decided with Some d -> Shipped_decisions.size d | None -> 0
 
 let gcs t =
   [
@@ -209,37 +214,41 @@ let attempt_resync t =
 let batch_bytes batch =
   List.fold_left (fun acc (_, r) -> acc + String.length r) 0 batch
 
+(* A participant that applies its shipped commit leaves the decision's
+   entry: it can never be in doubt about that transaction again. *)
+let committed t part = function
+  | Some id ->
+    Option.iter (fun d -> Shipped_decisions.forget d id part) t.decided
+  | None -> ()
+
 let apply_batch t stream batch =
   (match stream with
   | S_qm ->
     let qm = Site.qm t.site in
-    List.iter (fun (_, r) -> Qm.standby_apply qm r) batch;
+    List.iter
+      (fun (_, r) -> committed t t.peer_qm (Qm.standby_apply qm r))
+      batch;
     Qm.standby_force qm
   | S_kv ->
     let kv = Site.kv t.site in
-    List.iter (fun (_, r) -> Kvdb.standby_apply kv r) batch;
+    List.iter
+      (fun (_, r) -> committed t t.peer_kv (Kvdb.standby_apply kv r))
+      batch;
     Kvdb.standby_force kv
-  | S_tm -> (
-    match t.tmship with
-    | None -> ()
-    | Some w ->
-      List.iter
-        (fun (_, r) ->
-          Wal.append w r;
-          match Tm.shipped_decision r with
-          | Some id -> Hashtbl.replace t.decisions id ()
-          | None -> ())
-        batch;
-      Wal.sync w));
+  | S_tm ->
+    Option.iter
+      (fun d ->
+        List.iter (fun (_, r) -> Shipped_decisions.append d r) batch;
+        Shipped_decisions.sync d;
+        Shipped_decisions.maybe_checkpoint d
+          ~every:(Site.checkpoint_every t.site))
+      t.decided);
   t.applied_bytes <- t.applied_bytes + batch_bytes batch
 
 let install t ~qm_snap ~kv_snap =
   Qm.standby_install (Site.qm t.site) qm_snap;
   Kvdb.standby_install (Site.kv t.site) kv_snap;
-  (match t.tmship with
-  | Some w -> Wal.checkpoint w ""
-  | None -> ());
-  Hashtbl.reset t.decisions;
+  Option.iter Shipped_decisions.reset t.decided;
   t.applied_bytes <- 0
 
 (* ---- promotion -------------------------------------------------------- *)
@@ -253,10 +262,14 @@ let resolve_in_doubt t =
   (* Only entries coordinated by the peer: a rebooted primary's own
      prepares resolve through its own TM's pending table (the normal
      resolver path), which knows outcomes this table cannot. *)
+  let decided id =
+    match t.decided with
+    | Some d -> Shipped_decisions.mem d id
+    | None -> false
+  in
   let resolve p (id, coord) =
     if coord = t.peer then
-      if Hashtbl.mem t.decisions id then ignore (p.Tm.p_commit id)
-      else p.Tm.p_abort id
+      if decided id then ignore (p.Tm.p_commit id) else p.Tm.p_abort id
   in
   let qm = Site.qm t.site in
   List.iter (resolve (Qm.participant qm)) (Qm.in_doubt qm);
@@ -386,6 +399,20 @@ let rejoin_check t =
     (* Peer unreachable: trust the durable role. *)
     become_serving t
 
+(* Which of a shipped decision's participants the standby must keep: under
+   [Sync] shipping, the pair's participants that hold the transaction
+   prepared here (a prepare is shipped before its decision is appended, so
+   one that is not prepared has already applied its commit). [Lagged]
+   drains the three streams one after another, so a decision can overtake
+   its prepare; there every pair participant is kept until its commit. *)
+let held t =
+  match t.mode with
+  | Sync ->
+    fun id p ->
+      (p = t.peer_qm && Qm.is_prepared (Site.qm t.site) id)
+      || (p = t.peer_kv && Kvdb.is_prepared (Site.kv t.site) id)
+  | Lagged _ -> fun _ p -> p = t.peer_qm || p = t.peer_kv
+
 let boot_hook t site =
   ignore site;
   let nd = Site.node t.site in
@@ -396,17 +423,11 @@ let boot_hook t site =
   | None -> write_role t t.role t.epoch);
   t.link_up <- false;
   t.synced <- false;
-  Hashtbl.reset t.decisions;
-  t.applied_bytes <- 0;
-  let w, recovered = Wal.open_log (Net.disk nd) ~name:"tmship" in
-  t.tmship <- Some w;
-  List.iter
-    (fun r ->
-      t.applied_bytes <- t.applied_bytes + String.length r;
-      match Tm.shipped_decision r with
-      | Some id -> Hashtbl.replace t.decisions id ()
-      | None -> ())
-    recovered.Wal.records;
+  let d =
+    Shipped_decisions.open_store (Net.disk nd) ~name:"tmship" ~held:(held t)
+  in
+  t.decided <- Some d;
+  t.applied_bytes <- Shipped_decisions.applied_bytes d;
   Net.add_service nd "ha" (ha_service t);
   match t.role with
   | Standby ->
@@ -438,8 +459,9 @@ let attach ?(mode = Sync) ?(heartbeat_every = 0.25) ?(miss_limit = 3)
       epoch = 1;
       link_up = false;
       synced = false;
-      tmship = None;
-      decisions = Hashtbl.create 16;
+      decided = None;
+      peer_qm = "qm@" ^ peer;
+      peer_kv = "kv@" ^ peer;
       applied_bytes = 0;
       n_ship_batches = 0;
       n_failovers = 0;

@@ -13,8 +13,16 @@
 
     The {e standby} appends shipped QM/KV records into its own logs and
     replays them into memory at once (warm by construction); shipped TM
-    decision records land in a separate [tmship] log that doubles as the
-    promotion-time outcome table. A standby rejects clerk-facing requests
+    records land in a separate [tmship] log owned by
+    {!Rrq_txn.Shipped_decisions}, the promotion-time outcome table. It
+    keeps, per commit decision, only the pair's participants that hold
+    the transaction prepared on the standby; a participant leaves the
+    entry when the standby applies its shipped commit record, and the
+    entry goes when it is empty (exact under [Sync]: a prepare ships
+    before its decision is appended; under [Lagged] every pair
+    participant is kept until its commit). The store checkpoints every
+    {!Site.checkpoint_every} records, so it stays proportional to the
+    decisions in flight. A standby rejects clerk-facing requests
     ({!Site.set_standby}), so clerks fail over by rotation.
 
     {b Failover}: the standby heartbeats the primary; after [miss_limit]
@@ -100,6 +108,10 @@ val ship_batches : t -> int
 
 val applied_bytes : t -> int
 (** Standby side: shipped bytes applied since the last snapshot install. *)
+
+val decisions_kept : t -> int
+(** Standby side: shipped commit decisions still kept because a
+    participant here holds them prepared. *)
 
 val last_promote_at : t -> float
 (** Virtual time of the most recent promotion on this node (0 if none). *)

@@ -81,6 +81,10 @@ type t = {
   mutable s_tm : Tm.t;
   mutable s_qm : Qm.t;
   mutable s_kv : Kvdb.t;
+  (* The local participants, built once per boot: every transaction joins
+     both, and building them costs a record and five closures each. *)
+  mutable qm_part : Tm.participant;
+  mutable kv_part : Tm.participant;
   queues : (string * Qm.attrs) list;
   triggers : Qm.trigger list;
   commit_policy : Rrq_wal.Group_commit.policy option;
@@ -112,6 +116,7 @@ let standby_guard t =
 let tm t = t.s_tm
 let qm t = t.s_qm
 let kv t = t.s_kv
+let checkpoint_every t = t.checkpoint_every
 let qm_rm_name t = "qm@" ^ site_name t
 let kv_rm_name t = "kv@" ^ site_name t
 
@@ -146,8 +151,8 @@ let remote_participant t ~rm_name =
   }
 
 let local_participant t rm_name =
-  if rm_name = qm_rm_name t then Some (Qm.participant t.s_qm)
-  else if rm_name = kv_rm_name t then Some (Kvdb.participant t.s_kv)
+  if rm_name = qm_rm_name t then Some t.qm_part
+  else if rm_name = kv_rm_name t then Some t.kv_part
   else None
 
 (* ---- services -------------------------------------------------------- *)
@@ -283,14 +288,14 @@ let resolver_daemon t () =
       List.iter
         (fun entry ->
           resolve_one entry
-            ~commit:(fun id -> ignore ((Qm.participant t.s_qm).Tm.p_commit id))
-            ~abort:(fun id -> (Qm.participant t.s_qm).Tm.p_abort id))
+            ~commit:(fun id -> ignore (t.qm_part.Tm.p_commit id))
+            ~abort:(fun id -> t.qm_part.Tm.p_abort id))
         (Qm.in_doubt t.s_qm);
       List.iter
         (fun entry ->
           resolve_one entry
-            ~commit:(fun id -> ignore ((Kvdb.participant t.s_kv).Tm.p_commit id))
-            ~abort:(fun id -> (Kvdb.participant t.s_kv).Tm.p_abort id))
+            ~commit:(fun id -> ignore (t.kv_part.Tm.p_commit id))
+            ~abort:(fun id -> t.kv_part.Tm.p_abort id))
         (Kvdb.in_doubt t.s_kv)
     end;
     Sched.sleep_background 1.0;
@@ -305,6 +310,7 @@ let janitor_daemon t () =
     Qm.observe_queues t.s_qm;
     Qm.maybe_checkpoint t.s_qm ~every:t.checkpoint_every;
     Kvdb.maybe_checkpoint t.s_kv ~every:t.checkpoint_every;
+    Tm.maybe_checkpoint t.s_tm ~every:t.checkpoint_every;
     loop ()
   in
   loop ()
@@ -326,6 +332,8 @@ let boot_site t nd =
   t.s_tm <- tm;
   t.s_qm <- qm;
   t.s_kv <- kv;
+  t.qm_part <- Qm.participant qm;
+  t.kv_part <- Kvdb.participant kv;
   Qm.set_clock qm (fun () -> Sched.now sched);
   List.iter (fun (qn, attrs) -> Qm.create_queue qm ~attrs qn) t.queues;
   (* Kill-element must be able to abort the holding transaction, wherever
@@ -355,12 +363,16 @@ let create ?commit_policy ?(queues = []) ?(triggers = [])
     ?(checkpoint_every = 500) ?(stale_timeout = 30.0) nd =
   let disk = Net.disk nd in
   let name = Net.node_name nd in
+  let s_qm = Qm.open_qm disk ~name:("qm@" ^ name) in
+  let s_kv = Kvdb.open_kv disk ~name:("kv@" ^ name) in
   let t =
     {
       site_node = nd;
       s_tm = Tm.open_tm disk ~name;
-      s_qm = Qm.open_qm disk ~name:("qm@" ^ name);
-      s_kv = Kvdb.open_kv disk ~name:("kv@" ^ name);
+      s_qm;
+      s_kv;
+      qm_part = Qm.participant s_qm;
+      kv_part = Kvdb.participant s_kv;
       queues;
       triggers;
       commit_policy;
@@ -389,8 +401,8 @@ let crash_restart t ~after = Net.crash_restart t.site_node ~after
 
 let with_txn t f =
   let txn = Tm.begin_txn t.s_tm in
-  Tm.join txn (Qm.participant t.s_qm);
-  Tm.join txn (Kvdb.participant t.s_kv);
+  Tm.join txn t.qm_part;
+  Tm.join txn t.kv_part;
   match f txn with
   | v -> begin
     match Tm.commit t.s_tm txn with

@@ -49,6 +49,9 @@ val kv : t -> Rrq_kvdb.Kvdb.t
 (** Accessors return the {e current} incarnation's components — do not
     cache them across a crash/restart. *)
 
+val checkpoint_every : t -> int
+(** The janitor's checkpoint cadence, in log records. *)
+
 val qm_rm_name : t -> string
 val kv_rm_name : t -> string
 (** Globally-unique resource manager names ("qm\@node", "kv\@node"). *)

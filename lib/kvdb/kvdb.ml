@@ -150,6 +150,7 @@ let participant t =
   }
 
 let in_doubt = Base.in_doubt
+let is_prepared = Base.is_prepared
 
 let committed_value t key = Hashtbl.find_opt (Base.state t).State.data key
 

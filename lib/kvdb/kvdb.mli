@@ -55,6 +55,9 @@ val in_doubt : t -> (Rrq_txn.Txid.t * string) list
 (** Prepared-but-unresolved transactions with their coordinator names; the
     hosting node's resolver daemon polls the coordinators for these. *)
 
+val is_prepared : t -> Rrq_txn.Txid.t -> bool
+(** The transaction is prepared here and not yet resolved. *)
+
 val committed_value : t -> string -> string option
 (** Read the committed state directly, without locks or a transaction —
     for audits and tests, not for servers. *)
@@ -69,10 +72,11 @@ val live_log_bytes : t -> int
 (** {1 Replication hooks}
 
     Primary-backup WAL shipping (see {!Rrq_core.Ha}); re-exports of the
-    {!Rrq_txn.Rm.Make} standby surface. *)
+    {!Rrq_txn.Rm.Make} standby surface. [standby_apply] returns the txid a
+    shipped 2PC commit record committed. *)
 
 val group_commit : t -> Rrq_wal.Group_commit.t
 val encode_snapshot : t -> string
-val standby_apply : t -> string -> unit
+val standby_apply : t -> string -> Rrq_txn.Txid.t option
 val standby_force : t -> unit
 val standby_install : t -> string -> unit

@@ -728,29 +728,36 @@ let restore_snapshot t snap =
     Hashtbl.replace t.prepared id { p_coord = coord; p_ops = ops }
   done
 
+(* Returns the txid a 2PC commit record committed, for the standby. *)
 let replay_record t payload =
   let kind, txid, coordinator, ops = decode_record payload in
-  if kind = k_one_phase || kind = k_now then
-    List.iter (fun op -> apply t op.op_redo) ops
+  if kind = k_one_phase || kind = k_now then begin
+    List.iter (fun op -> apply t op.op_redo) ops;
+    None
+  end
   else if kind = k_prepare then begin
     match txid with
-    | Some id -> Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops }
+    | Some id ->
+      Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops };
+      None
     | None -> failwith "qm: prepare record without txid"
   end
   else if kind = k_commit then begin
     match txid with
-    | Some id -> begin
-      match Hashtbl.find_opt t.prepared id with
+    | Some id ->
+      (match Hashtbl.find_opt t.prepared id with
       | Some p ->
         List.iter (fun op -> apply t op.op_redo) p.p_ops;
         Hashtbl.remove t.prepared id
-      | None -> ()
-    end
+      | None -> ());
+      txid
     | None -> failwith "qm: commit record without txid"
   end
   else if kind = k_abort then begin
     match txid with
-    | Some id -> Hashtbl.remove t.prepared id
+    | Some id ->
+      Hashtbl.remove t.prepared id;
+      None
     | None -> failwith "qm: abort record without txid"
   end
   else failwith (Printf.sprintf "qm: unknown record kind %d" kind)
@@ -834,7 +841,7 @@ let open_qm ?commit_policy ?(triggers = []) disk ~name:qm_name =
   (match recovered.Wal.snapshot with
   | Some snap -> restore_snapshot t snap
   | None -> ());
-  List.iter (replay_record t) recovered.Wal.records;
+  List.iter (fun r -> ignore (replay_record t r)) recovered.Wal.records;
   relock_prepared t;
   t.replaying <- false;
   (* Bump the incarnation durably so eids and auto-txids never repeat. *)
@@ -1343,6 +1350,8 @@ let kill_where t filter =
 let in_doubt t =
   Hashtbl.fold (fun id p acc -> (id, p.p_coord) :: acc) t.prepared []
 
+let is_prepared t id = Hashtbl.mem t.prepared id
+
 let set_abort_callback t f = t.abort_cb <- f
 let set_alert_callback t f = t.alert_cb <- f
 let set_clock t f = t.clock <- f
@@ -1366,11 +1375,16 @@ let snapshot_image t = encode_snapshot t
    entry before serving. *)
 let standby_apply t payload =
   t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () ->
-      Group_commit.append t.gc payload;
-      replay_record t payload)
+  match
+    Group_commit.append t.gc payload;
+    replay_record t payload
+  with
+  | committed ->
+    t.replaying <- false;
+    committed
+  | exception e ->
+    t.replaying <- false;
+    raise e
 
 let standby_force t = Group_commit.force t.gc
 

@@ -257,6 +257,9 @@ val in_doubt : t -> (Rrq_txn.Txid.t * string) list
 (** Prepared-but-unresolved transactions and their coordinators, for the
     hosting node's resolver daemon. *)
 
+val is_prepared : t -> Rrq_txn.Txid.t -> bool
+(** The transaction is prepared here and not yet resolved. *)
+
 val set_abort_callback : t -> (Rrq_txn.Txid.t -> unit) -> unit
 (** How [kill_element] aborts the transaction holding an element (normally
     the node TM's force-abort). *)
@@ -290,14 +293,15 @@ val elements : t -> string -> Element.t list
     {!Rrq_core.Ha}). The primary ships its WAL records through
     {!Rrq_wal.Group_commit.set_shipper} on {!group_commit}; the backup
     applies them with {!standby_apply} (which also appends them to its own
-    log, so a backup crash recovers natively) and makes each batch durable
+    log, so a backup crash recovers natively, and returns the txid a
+    shipped 2PC commit record committed) and makes each batch durable
     with {!standby_force} before acknowledging. {!standby_install}
     replaces the whole state from a primary {!snapshot_image} — the full
     resync after a gap or role change. *)
 
 val group_commit : t -> Rrq_wal.Group_commit.t
 val snapshot_image : t -> string
-val standby_apply : t -> string -> unit
+val standby_apply : t -> string -> Rrq_txn.Txid.t option
 val standby_force : t -> unit
 val standby_install : t -> string -> unit
 

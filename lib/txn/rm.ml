@@ -53,30 +53,36 @@ module Make (S : STATE) = struct
     let redos = Codec.get_list S.decode_redo d in
     (kind, txid, coordinator, redos)
 
+  (* Returns the txid a 2PC commit record committed, for the standby. *)
   let replay t payload =
     let kind, txid, coordinator, redos = decode_record payload in
     match kind with
     | k when k = k_one_phase || k = k_apply_now ->
-      List.iter (S.apply t.st) redos
+      List.iter (S.apply t.st) redos;
+      None
     | k when k = k_prepare -> begin
       match txid with
-      | Some id -> Hashtbl.replace t.prepared_txns id { coordinator; redos }
+      | Some id ->
+        Hashtbl.replace t.prepared_txns id { coordinator; redos };
+        None
       | None -> failwith "rm: prepare record without txid"
     end
     | k when k = k_commit -> begin
       match txid with
-      | Some id -> begin
-        match Hashtbl.find_opt t.prepared_txns id with
+      | Some id ->
+        (match Hashtbl.find_opt t.prepared_txns id with
         | Some p ->
           List.iter (S.apply t.st) p.redos;
           Hashtbl.remove t.prepared_txns id
-        | None -> () (* resolved before the snapshot; duplicate record *)
-      end
+        | None -> () (* resolved before the snapshot; duplicate record *));
+        txid
       | None -> failwith "rm: commit record without txid"
     end
     | k when k = k_abort -> begin
       match txid with
-      | Some id -> Hashtbl.remove t.prepared_txns id
+      | Some id ->
+        Hashtbl.remove t.prepared_txns id;
+        None
       | None -> failwith "rm: abort record without txid"
     end
     | k -> failwith (Printf.sprintf "rm: unknown record kind %d" k)
@@ -115,7 +121,7 @@ module Make (S : STATE) = struct
     let t =
       { rm_name; wal; gc; st; workspaces = Hashtbl.create 16; prepared_txns }
     in
-    List.iter (replay t) recovered.Wal.records;
+    List.iter (fun r -> ignore (replay t r)) recovered.Wal.records;
     (* Re-assert exclusions for transactions still in doubt. *)
     Hashtbl.iter (fun id p -> S.relock t.st id p.redos) t.prepared_txns;
     t

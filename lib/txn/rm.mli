@@ -103,10 +103,11 @@ module Make (S : STATE) : sig
       transactions; in-doubt entries accumulated from shipped prepares are
       resolved by the promotion protocol, not here. *)
 
-  val standby_apply : t -> string -> unit
-  (** Append one shipped record to our own log and replay it into memory.
-      Not forced — call {!standby_force} at batch end, before
-      acknowledging the batch to the primary. *)
+  val standby_apply : t -> string -> Txid.t option
+  (** Append one shipped record to our own log and replay it into memory;
+      returns the txid if the record was a 2PC commit. Not forced — call
+      {!standby_force} at batch end, before acknowledging the batch to the
+      primary. *)
 
   val standby_force : t -> unit
 

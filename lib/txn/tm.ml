@@ -38,9 +38,12 @@ type t = {
   (* Commit decisions logged but not yet acknowledged by every participant:
      txid -> unacked participant names. *)
   pending : (Txid.t, string list ref) Hashtbl.t;
-  (* Transactions currently inside the voting phase (decision not yet
-     logged): queries about these must answer [`Pending]. *)
-  deciding : (Txid.t, unit) Hashtbl.t;
+  (* Transactions whose decision is not yet durable, so queries about them
+     must answer [`Pending]: [] while voting, then the participant names
+     once the decision record is appended and its force is under way. A
+     checkpoint taken in that window must carry the decision (see
+     [encode_snapshot]). *)
+  deciding : (Txid.t, string list) Hashtbl.t;
   (* Live transaction handles, for force_abort. *)
   live : (Txid.t, txn) Hashtbl.t;
   mutable resolver : string -> participant option;
@@ -62,11 +65,54 @@ let append_decision gc id parts =
   Codec.list Codec.string e parts;
   Group_commit.append_enc gc e
 
+(* The checkpoint snapshot: the incarnation count (the records that
+   counted it are truncated away) and every commit decision a crash must
+   still find, as [(txid, participants still to be told)]. That is the
+   unacknowledged [pending] decisions and also those whose record is
+   appended but whose force has not returned: [Wal.checkpoint] makes every
+   appended record durable by covering it with the snapshot, and a fiber
+   parked in the decision force would otherwise resume after the
+   checkpoint with its decision in a deleted segment. *)
+let encode_snapshot t =
+  let e = Codec.encoder () in
+  Codec.int e t.inc;
+  let decided =
+    Hashtbl.fold
+      (fun id parts acc -> if parts = [] then acc else (id, parts) :: acc)
+      t.deciding []
+  in
+  let decided =
+    Hashtbl.fold (fun id parts acc -> (id, !parts) :: acc) t.pending decided
+  in
+  Codec.list
+    (fun e (id, parts) ->
+      Txid.encode e id;
+      Codec.list Codec.string e parts)
+    e decided;
+  Codec.to_string e
+
+let restore_snapshot snap pending =
+  let d = Codec.decoder snap in
+  let inc = Codec.get_int d in
+  List.iter
+    (fun (id, parts) -> Hashtbl.replace pending id (ref parts))
+    (Codec.get_list
+       (fun d ->
+         let id = Txid.decode d in
+         (id, Codec.get_list Codec.get_string d))
+       d);
+  inc
+
 let open_tm ?commit_policy disk ~name:tm_name =
   let wal, recovered = Wal.open_log disk ~name:(tm_name ^ ".tmlog") in
   let gc = Group_commit.create ?policy:commit_policy wal in
   let pending = Hashtbl.create 8 in
-  let inc = ref 0 in
+  let inc =
+    ref
+      (match recovered.Wal.snapshot with
+      | Some snap -> restore_snapshot snap pending
+      | None -> 0)
+  in
   List.iter
     (fun payload ->
       let d = Codec.decoder payload in
@@ -264,7 +310,7 @@ let commit t txn =
         Aborted
       end
     | _ :: _ ->
-      Hashtbl.replace t.deciding txn.id ();
+      Hashtbl.replace t.deciding txn.id [];
       let all_yes =
         List.for_all
           (fun p ->
@@ -286,6 +332,7 @@ let commit t txn =
            decision record is durable: under a batched force this fiber may
            park here, and resolvers must not observe a commit outcome that a
            crash could still revoke. *)
+        Hashtbl.replace t.deciding txn.id pnames;
         append_decision t.gc txn.id pnames;
         Group_commit.force t.gc;
         Rrq_sim.Crashpoint.reach t.site_decided;
@@ -335,17 +382,26 @@ let recover_pending t =
              redeliver t id (fun pname -> t.resolver pname))))
     t.pending
 
+let checkpoint t = Wal.checkpoint t.wal (encode_snapshot t)
+
+let maybe_checkpoint t ~every =
+  if Wal.records_since_checkpoint t.wal >= every then checkpoint t
+
+let live_log_bytes t = Wal.live_log_bytes t.wal
+
 let pending_decisions t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pending []
 let stats t = (t.n_committed, t.n_aborted)
 
 let group_commit t = t.gc
 
 (* Under presumed abort only COMMIT decisions are logged, so a shipped TM
-   record either names a committed transaction or is bookkeeping
-   (incarnation/end) the backup can ignore. *)
+   record either names a committed transaction and its participants or is
+   bookkeeping (incarnation/end) the backup can ignore. *)
 let shipped_decision payload =
   let d = Codec.decoder payload in
   match Codec.get_u8 d with
-  | k when k = k_decision -> Some (Txid.decode d)
+  | k when k = k_decision ->
+    let id = Txid.decode d in
+    Some (id, Codec.get_list Codec.get_string d)
   | _ -> None
   | exception Codec.Decode_error _ -> None

@@ -14,7 +14,17 @@
     decision is logged, delivery to every participant is retried (across
     coordinator restarts, via {!set_resolver} + {!recover_pending}) until
     all have acknowledged, after which an End record retires the
-    transaction. *)
+    transaction.
+
+    The log is checkpointed ({!checkpoint}, {!maybe_checkpoint}; a site's
+    janitor calls the latter), so it stays proportional to the
+    transactions in flight rather than to the node's history. The
+    snapshot holds the incarnation count and every commit decision a crash
+    must still find: the unacknowledged ones, with the participants still
+    to be told, and those whose record is appended but whose force has not
+    returned yet. The second kind is what lets the TM meet
+    [Wal.checkpoint]'s contract that a snapshot covers every appended
+    record. Checkpointing never yields. *)
 
 type t
 
@@ -95,6 +105,16 @@ val recover_pending : t -> unit
 (** Spawn redelivery fibers for logged-but-unretired commit decisions.
     Call from a fiber, after {!set_resolver}. *)
 
+val checkpoint : t -> unit
+(** Snapshot the decision table and truncate the log (see above). *)
+
+val maybe_checkpoint : t -> every:int -> unit
+(** {!checkpoint} once at least [every] records were appended since the
+    last one. *)
+
+val live_log_bytes : t -> int
+(** Durable bytes in the decision log's live segments. *)
+
 val pending_decisions : t -> Txid.t list
 (** Commit decisions not yet acknowledged by all participants. *)
 
@@ -107,8 +127,9 @@ val group_commit : t -> Rrq_wal.Group_commit.t
 (** The commit-point batcher, so a replication layer can ship the TM's
     decision log ({!Rrq_wal.Group_commit.set_shipper}). *)
 
-val shipped_decision : string -> Txid.t option
-(** Decode one shipped TM log record: [Some id] if it is a commit-decision
-    record (under presumed abort only commit decisions are logged), [None]
-    for bookkeeping records (incarnation, end) or undecodable input. The
-    backup uses these to resolve in-doubt RM entries at promotion. *)
+val shipped_decision : string -> (Txid.t * string list) option
+(** Decode one shipped TM log record: [Some (id, participants)] if it is a
+    commit-decision record (under presumed abort only commit decisions are
+    logged), [None] for bookkeeping records (incarnation, end) or
+    undecodable input. The backup keeps these ({!Shipped_decisions}) to
+    resolve in-doubt RM entries at promotion. *)

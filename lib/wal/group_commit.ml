@@ -180,7 +180,8 @@ let rec ensure_shipped t lsn =
       let durable = Wal.durable_lsn t.wal in
       let batch, rest = List.partition (fun (l, _) -> l <= durable) t.retained in
       t.retained <- rest;
-      let batch = List.sort compare batch in
+      (* [retained] is newest first and its LSNs are unique. *)
+      let batch = List.rev batch in
       Fun.protect
         ~finally:(fun () ->
           t.ship_leading <- false;

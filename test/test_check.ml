@@ -254,6 +254,42 @@ let test_crash_site_sweep () =
   Alcotest.(check (list string)) "every crash point recovered cleanly" []
     failures
 
+(* With a small janitor cadence every world checkpoints its logs, so the
+   checkpoint crash sites are on the map: the TM decision log of every site
+   and, on the HA standby, the shipped-decision store ([wal.ckpt:tmship]).
+   A crash at each of them must recover cleanly — killing the node the site
+   names, and for the store the backup that owns it. *)
+let test_checkpoint_crash_sites () =
+  List.iter
+    (fun (scenario, tm_logs, victims) ->
+      let scenario = C.Scenario.with_checkpoint_every 2 scenario in
+      let ckpt = has_prefix [ "wal.ckpt:" ] in
+      List.iter
+        (fun victim ->
+          let visited, combos, failures =
+            sweep ~only:ckpt ?victim ~recover_after:1.0 scenario
+          in
+          List.iter
+            (fun site ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s reaches %s" (C.Scenario.name scenario) site)
+                true (List.mem_assoc site visited))
+            tm_logs;
+          Alcotest.(check bool) "swept checkpoint sites" true (combos > 0);
+          Alcotest.(check (list string))
+            (C.Scenario.name scenario ^ ": every checkpoint crash recovered")
+            [] failures)
+        victims)
+    [
+      (C.Scenario.quickstart, [ "wal.ckpt:backend.tmlog" ], [ None ]);
+      ( C.Scenario.ha,
+        [ "wal.ckpt:primary.tmlog"; "wal.ckpt:tmship" ],
+        [ None; Some "backup" ] );
+      ( C.Scenario.sharded,
+        [ "wal.ckpt:shard0.tmlog"; "wal.ckpt:shard1.tmlog" ],
+        [ None ] );
+    ]
+
 (* Every scenario's crash sweep crashes its own world: the probe reaches
    sites, and an armed run at the first of them leaves its crash note in
    that world's decision trace. For [ha], a crash at [ship.sent] — a site
@@ -608,6 +644,8 @@ let () =
           Alcotest.test_case "exhaustive site sweep" `Slow test_crash_site_sweep;
           Alcotest.test_case "every sweep crashes its own world" `Quick
             test_sweeps_crash_their_own_world;
+          Alcotest.test_case "checkpoint crash sites: tm logs, tmship" `Quick
+            test_checkpoint_crash_sites;
         ] );
       ( "main-memory",
         [

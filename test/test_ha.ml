@@ -15,6 +15,9 @@ module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
 module Tm = Rrq_txn.Tm
+module Disk = Rrq_storage.Disk
+module Crashpoint = Rrq_sim.Crashpoint
+module Kvdb = Rrq_kvdb.Kvdb
 module Qm = Rrq_qm.Qm
 module Element = Rrq_qm.Element
 module Filter = Rrq_qm.Filter
@@ -27,15 +30,15 @@ module H = Rrq_test_support.Sim_harness
 
 (* --- the HA pair: shipping, degrade, resync ------------------------------ *)
 
-let make_ha_pair ?(mode = Ha.Sync) ?(ship_timeout = 0.3) s =
+let make_ha_pair ?(mode = Ha.Sync) ?(ship_timeout = 0.3) ?checkpoint_every s =
   let net = Net.create ~latency:0.005 s (Rng.create 77) in
   let a =
-    Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
-      (Net.make_node net "siteA")
+    Site.create ~queues:[ ("rq", Qm.default_attrs) ] ?checkpoint_every
+      ~stale_timeout:2.0 (Net.make_node net "siteA")
   in
   let b =
-    Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
-      (Net.make_node net "siteB")
+    Site.create ~queues:[ ("rq", Qm.default_attrs) ] ?checkpoint_every
+      ~stale_timeout:2.0 (Net.make_node net "siteB")
   in
   let ha_a = Ha.attach ~mode ~ship_timeout a ~peer:"siteB" ~role:Ha.Primary in
   let ha_b = Ha.attach ~mode ~ship_timeout b ~peer:"siteA" ~role:Ha.Standby in
@@ -119,6 +122,149 @@ let test_peer_down_degrades_then_resyncs () =
       Alcotest.(check (list int64)) "standby caught up after resync"
         (eids a "rq") (eids b "rq"))
 
+(* --- the standby's shipped decisions: bounded, restored, reset ----------- *)
+
+(* One 2PC transaction on [site]: an enqueue and a KV write, so both the
+   QM and the KV store are participants and the TM logs (and ships) a
+   commit decision. *)
+let txn_2pc site n =
+  Site.with_txn site (fun txn ->
+      let id = Tm.txn_id txn in
+      let qm = Site.qm site in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+      ignore (Qm.enqueue qm id h (Printf.sprintf "e%d" n));
+      Kvdb.put (Site.kv site) id (Printf.sprintf "k%d" n) "v")
+
+let tmship_bytes site =
+  let disk = Net.disk (Site.node site) in
+  List.fold_left
+    (fun acc f ->
+      if String.starts_with ~prefix:"tmship" f then
+        acc + Option.value ~default:0 (Disk.file_size disk f)
+      else acc)
+    0 (Disk.list_files disk)
+
+let test_tmship_bounded () =
+  H.run_fiber' (fun s ->
+      let a, b, _, ha_b = make_ha_pair ~checkpoint_every:20 s in
+      let n = 60 in
+      let next = ref 0 in
+      (* Peak live bytes of the backup's tmship log and the primary's TM log
+         over a stretch of transactions; the janitor (every 2 s) checkpoints
+         the TM log. *)
+      let stretch k =
+        let ship = ref 0 and tm = ref 0 in
+        for _ = 1 to k do
+          incr next;
+          txn_2pc a !next;
+          Sched.sleep 0.05;
+          ship := max !ship (tmship_bytes b);
+          tm := max !tm (Tm.live_log_bytes (Site.tm a))
+        done;
+        (!ship, !tm)
+      in
+      let ship_n, tm_n = stretch n in
+      let ship_10n, tm_10n = stretch (9 * n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "tmship peak %d <= %d" ship_10n ship_n)
+        true (ship_10n <= ship_n);
+      Alcotest.(check bool)
+        (Printf.sprintf "tm log peak %d <= %d" tm_10n tm_n)
+        true (tm_10n <= tm_n);
+      Alcotest.(check int) "every decision forgotten" 0 (Ha.decisions_kept ha_b);
+      Alcotest.(check int) "standby mirrors the queue" (10 * n)
+        (Qm.depth (Site.qm b) "rq"))
+
+(* Arm a kill at the next reach of [site]: the primary's node dies with
+   its disk frozen, and the fiber that reached the site unwinds. *)
+let kill_at_next ~site node =
+  Crashpoint.reset ();
+  Crashpoint.arm ~site ~hit:1 (fun () ->
+      let disk = Net.disk node in
+      Disk.kill_now disk;
+      Net.crash node;
+      Disk.revive disk;
+      if
+        Sched.in_fiber ()
+        && Sched.fiber_group (Sched.self ()) = Some (Net.node_name node)
+      then Crashpoint.crash ())
+
+let wait_until ?(limit = 20.0) cond =
+  let deadline = Sched.clock () +. limit in
+  while (not (cond ())) && Sched.clock () < deadline do
+    Sched.sleep 0.05
+  done
+
+(* The primary dies with a commit decision durable and shipped but not yet
+   delivered: the promoted backup must commit both of its participants.
+   [reboot_backup] also crash-restarts the backup before the promotion, so
+   the decision comes back from the store's snapshot (checkpointed after
+   every shipped batch). *)
+let failover_after_decision ~reboot_backup () =
+  H.run_fiber' (fun s ->
+      let checkpoint_every = if reboot_backup then 1 else 5 in
+      let a, b, _, ha_b = make_ha_pair ~checkpoint_every s in
+      (* Pruning runs on every shipped commit first. *)
+      for n = 1 to 12 do
+        txn_2pc a n
+      done;
+      Alcotest.(check int) "decided transactions forgotten" 0
+        (Ha.decisions_kept ha_b);
+      Fun.protect ~finally:Crashpoint.disable (fun () ->
+          kill_at_next ~site:"tm.decided:siteA" (Site.node a);
+          Net.spawn_on (Site.node a) ~name:"last-txn" (fun () -> txn_2pc a 13);
+          wait_until (fun () -> not (Net.is_up (Site.node a))));
+      Alcotest.(check int) "the last decision is kept" 1 (Ha.decisions_kept ha_b);
+      if reboot_backup then begin
+        Site.crash_restart b ~after:0.05;
+        Sched.sleep 0.2;
+        Alcotest.(check int) "restored from the snapshot" 1
+          (Ha.decisions_kept ha_b)
+      end;
+      wait_until (fun () -> Ha.is_serving ha_b);
+      Alcotest.(check bool) "backup promoted" true (Ha.is_serving ha_b);
+      Alcotest.(check (option string)) "kv participant committed" (Some "v")
+        (Kvdb.committed_value (Site.kv b) "k13");
+      Alcotest.(check int) "qm participant committed" 13
+        (Qm.depth (Site.qm b) "rq");
+      Alcotest.(check int) "nothing in doubt" 0
+        (List.length (Qm.in_doubt (Site.qm b))
+        + List.length (Kvdb.in_doubt (Site.kv b))))
+
+let test_failover_after_decision = failover_after_decision ~reboot_backup:false
+let test_store_restored_after_reboot = failover_after_decision ~reboot_backup:true
+
+(* A snapshot install empties the store: the standby's state now comes
+   from the primary's image, not from the shipped history. *)
+let test_resync_resets_store () =
+  H.run_fiber' (fun s ->
+      let a, b, ha_a, ha_b = make_ha_pair s in
+      txn_2pc a 1;
+      (* Kill only the committing fiber right after its decision is durable
+         and shipped: the decision is never delivered, so the standby keeps
+         it. *)
+      Fun.protect ~finally:Crashpoint.disable (fun () ->
+          Crashpoint.reset ();
+          Crashpoint.arm ~site:"tm.decided:siteA" ~hit:1 Crashpoint.crash;
+          ignore (Sched.fork ~name:"stuck-txn" (fun () -> txn_2pc a 2));
+          Sched.sleep 0.5);
+      Alcotest.(check int) "undelivered decision kept" 1 (Ha.decisions_kept ha_b);
+      let resyncs = Ha.resyncs ha_a in
+      Site.crash b;
+      txn_2pc a 3;
+      Site.restart b;
+      Alcotest.(check int) "kept across the reboot" 1 (Ha.decisions_kept ha_b);
+      wait_until (fun () -> Ha.resyncs ha_a > resyncs && Ha.shipping ha_a);
+      Alcotest.(check bool) "resynced" true (Ha.resyncs ha_a > resyncs);
+      Alcotest.(check int) "store reset" 0 (Ha.decisions_kept ha_b);
+      Alcotest.(check int) "applied bytes reset" 0 (Ha.applied_bytes ha_b);
+      (* Only the primary's own recovery delivers the stranded decision:
+         restart it so the run can quiesce. *)
+      Site.crash_restart a ~after:0.1;
+      wait_until (fun () -> Ha.is_serving ha_a && Qm.in_doubt (Site.qm a) = []);
+      Alcotest.(check (option string)) "stranded decision delivered"
+        (Some "v") (Kvdb.committed_value (Site.kv a) "k2"))
+
 let ha_suite =
   [
     Alcotest.test_case "sync ship mirrors queue state" `Quick
@@ -126,6 +272,14 @@ let ha_suite =
     Alcotest.test_case "abort ships no state" `Quick test_abort_ships_no_state;
     Alcotest.test_case "peer down degrades, resync catches up" `Quick
       test_peer_down_degrades_then_resyncs;
+    Alcotest.test_case "tmship and TM log stay bounded" `Quick
+      test_tmship_bounded;
+    Alcotest.test_case "decided at tm.decided: promotion commits both" `Quick
+      test_failover_after_decision;
+    Alcotest.test_case "backup reboot restores the store" `Quick
+      test_store_restored_after_reboot;
+    Alcotest.test_case "resync resets the store" `Quick
+      test_resync_resets_store;
   ]
 
 (* --- failover: the scenario world under kills around every HA step ------- *)
@@ -206,7 +360,6 @@ module Shard = Rrq_core.Shard
 module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
-module Kvdb = Rrq_kvdb.Kvdb
 
 (* Shard0 is an HA pair (hs0p primary, hs0b warm standby — the shard map
    lists hs0b as shard0's backup candidate); hs1 and hs2 are plain shard

@@ -307,7 +307,7 @@ let prop_ha_prefix_consistent =
           for k = 0 to total do
             let bqm = Qm.open_qm (Disk.create "b") ~name:"qmb" in
             for i = 0 to k - 1 do
-              Qm.standby_apply bqm records.(i)
+              ignore (Qm.standby_apply bqm records.(i))
             done;
             Qm.standby_force bqm;
             if state_of bqm <> expected_at k then begin

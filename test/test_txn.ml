@@ -573,6 +573,154 @@ let test_tm_hooks () =
       Alcotest.(check (list string)) "commit hooks in order" [ "c1"; "c2" ]
         (List.rev !log))
 
+(* --- TM log checkpointing ------------------------------------------- *)
+
+(* A participant that always votes yes and acknowledges when [ack]. *)
+let yes_participant ?(ack = fun () -> true) name =
+  {
+    Tm.part_name = name;
+    p_prepare = (fun _ ~coordinator:_ -> true);
+    p_commit = (fun _ -> ack ());
+    p_abort = (fun _ -> ());
+    p_one_phase = (fun _ -> true);
+    p_has_work = (fun _ -> true);
+    p_is_local = true;
+  }
+
+(* One 2PC commit over two always-yes participants. *)
+let commit_2pc ?ack tm =
+  let txn = Tm.begin_txn tm in
+  Tm.join txn (yes_participant ?ack "ra");
+  Tm.join txn (yes_participant ?ack "rb");
+  (match Tm.commit tm txn with
+  | Tm.Committed -> ()
+  | Tm.Aborted -> Alcotest.fail "should commit");
+  Tm.txn_id txn
+
+let test_tm_checkpoint_keeps_pending () =
+  let disk = Disk.create "n1" in
+  let id = ref None and retired_ids = ref [] in
+  let redelivered = ref [] and retired = ref false in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~group:"inc1" ~name:"flow1" (fun () ->
+               let tm = Tm.open_tm disk ~name:"tm1" in
+               (* Unacknowledged: the decision stays pending. *)
+               id := Some (commit_2pc ~ack:(fun () -> false) tm);
+               retired_ids := List.init 5 (fun _ -> commit_2pc tm);
+               Tm.checkpoint tm));
+        Sched.at s 10.0 (fun () ->
+            Sched.kill_group s "inc1";
+            Disk.crash disk;
+            ignore
+              (Sched.spawn s ~group:"inc2" ~name:"flow2" (fun () ->
+                   let tm2 = Tm.open_tm disk ~name:"tm1" in
+                   Alcotest.(check (list string)) "only the unacked decision"
+                     [ Txid.to_string (Option.get !id) ]
+                     (List.map Txid.to_string (Tm.pending_decisions tm2));
+                   List.iter
+                     (fun rid ->
+                       Alcotest.(check bool) "retired stays retired" true
+                         (Tm.decision tm2 rid = `Aborted))
+                     !retired_ids;
+                   Alcotest.(check bool) "answers committed" true
+                     (Tm.decision tm2 (Option.get !id) = `Committed);
+                   Tm.set_resolver tm2 (fun pname ->
+                       Some
+                         (yes_participant
+                            ~ack:(fun () ->
+                              redelivered := pname :: !redelivered;
+                              true)
+                            pname));
+                   Tm.recover_pending tm2;
+                   Sched.sleep 5.0;
+                   retired := Tm.pending_decisions tm2 = []))))
+  in
+  Alcotest.(check (list string)) "redelivered to both" [ "ra"; "rb" ]
+    (List.sort compare !redelivered);
+  Alcotest.(check bool) "retired after redelivery" true !retired
+
+let test_tm_incarnation_rises_across_checkpoints () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let seen = Hashtbl.create 16 in
+      let last_inc = ref 0 in
+      for _ = 1 to 4 do
+        let tm = Tm.open_tm disk ~name:"tm1" in
+        for _ = 1 to 3 do
+          let id = commit_2pc tm in
+          Alcotest.(check bool) "fresh txid" false
+            (Hashtbl.mem seen (Txid.to_string id));
+          Hashtbl.replace seen (Txid.to_string id) ();
+          Alcotest.(check bool) "incarnation rises" true (id.Txid.inc > !last_inc)
+        done;
+        last_inc := (commit_2pc tm).Txid.inc;
+        (* Truncate every incarnation record written so far. *)
+        Tm.checkpoint tm;
+        Disk.crash disk
+      done)
+
+(* The decision record is appended and its force is parked on the device
+   when the checkpoint runs; the checkpoint deletes the segment holding
+   it, so only the snapshot can carry the decision across the crash that
+   follows. *)
+let test_tm_checkpoint_covers_parked_decision () =
+  let disk = Disk.create ~sync_latency:1.0 "n1" in
+  let tm = ref None and id = ref None and found = ref None in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~group:"inc1" ~name:"flow1" (fun () ->
+               let t = Tm.open_tm disk ~name:"tm1" in
+               tm := Some t;
+               let txn = Tm.begin_txn t in
+               id := Some (Tm.txn_id txn);
+               Tm.join txn (yes_participant "ra");
+               Tm.join txn (yes_participant "rb");
+               ignore (Tm.commit t txn)));
+        (* The boot-time incarnation force ends at t=1; the decision force
+           occupies the device until t=2. *)
+        Sched.at s 1.5 (fun () ->
+            let t = Option.get !tm in
+            Alcotest.(check bool) "decision still pending" true
+              (Tm.decision t (Option.get !id) = `Pending);
+            Tm.checkpoint t;
+            Sched.kill_group s "inc1";
+            Disk.crash disk;
+            ignore
+              (Sched.spawn s ~group:"inc2" ~name:"flow2" (fun () ->
+                   let tm2 = Tm.open_tm disk ~name:"tm1" in
+                   found := Some (Tm.decision tm2 (Option.get !id))))))
+  in
+  Alcotest.(check bool) "decision survives the crash" true
+    (!found = Some `Committed)
+
+let test_tm_log_bounded () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let tm = Tm.open_tm disk ~name:"tm1" in
+      let n = 1_000 in
+      let peak = ref 0 in
+      let run_commits k =
+        peak := 0;
+        for _ = 1 to k do
+          ignore (commit_2pc tm);
+          Tm.maybe_checkpoint tm ~every:500;
+          peak := max !peak (Tm.live_log_bytes tm)
+        done;
+        !peak
+      in
+      let peak_n = run_commits n in
+      let peak_10n = run_commits (9 * n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "10N peak %d <= N peak %d" peak_10n peak_n)
+        true (peak_10n <= peak_n);
+      Alcotest.(check bool)
+        (Printf.sprintf "peak %d under 64 KB" peak_10n)
+        true
+        (peak_10n < 64 * 1024))
+
 let test_txid_roundtrip () =
   let id = Txid.make ~origin:"node-7" ~inc:3 ~n:42 in
   let e = Rrq_util.Codec.encoder () in
@@ -631,6 +779,14 @@ let tm_suite =
     Alcotest.test_case "abort releases" `Quick test_tm_abort_releases;
     Alcotest.test_case "hooks" `Quick test_tm_hooks;
     Alcotest.test_case "txid roundtrip" `Quick test_txid_roundtrip;
+    Alcotest.test_case "checkpoint keeps pending, redelivers" `Quick
+      test_tm_checkpoint_keeps_pending;
+    Alcotest.test_case "incarnation rises across checkpoints" `Quick
+      test_tm_incarnation_rises_across_checkpoints;
+    Alcotest.test_case "checkpoint covers a parked decision" `Quick
+      test_tm_checkpoint_covers_parked_decision;
+    Alcotest.test_case "log bounded under checkpoints" `Quick
+      test_tm_log_bounded;
   ]
 
 let () =
