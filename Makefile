@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work. See doc/CI.md.
 
-.PHONY: all build test quick-test lint lint-graph witness check sim ha-check shard-check stats bench bench-smoke perfbench-smoke clean
+.PHONY: all build test quick-test lint lint-graph witness fingerprint check sim ha-check shard-check stats bench bench-smoke perfbench-smoke clean
 
 all: build
 
@@ -33,6 +33,13 @@ lint-graph:
 # static R7 lock-order graph.
 witness:
 	dune exec bin/rrq_witness.exe
+
+# The behaviour gate alone (also runs as part of `dune runtest`): every
+# explored plan and crash-sweep run must reproduce its digest in
+# test/fingerprint.golden.
+fingerprint:
+	dune build ./check.fingerprint
+	diff test/fingerprint.golden _build/default/check.fingerprint
 
 # The simulation tester alone: explored schedules + crash-site sweeps of
 # the quickstart, main-memory and HA worlds, then the quickstart, HA and

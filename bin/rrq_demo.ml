@@ -132,7 +132,55 @@ let check_cmd =
                  and write its JSON-lines trace-event dump to FILE (the \
                  trace-based exactly-once auditor joins the audit).")
   in
-  let run scen_name budget seed replay trace sites checkpoint_every trace_out =
+  let fingerprint =
+    Arg.(value & flag & info [ "fingerprint" ]
+           ~doc:"Print one digest line per run of the behaviour gate: \
+                 explorer plans 0-24 of every scenario, every (site, hit) \
+                 of the quickstart, quickstart-mm, ha and sharded sweeps, \
+                 and the quickstart, ha and sharded sweeps at \
+                 --checkpoint-every 2. Each digest covers the decision \
+                 trace, findings, replies, virtual time and every node's \
+                 disk sync counters (see test/fingerprint.golden).")
+  in
+  (* Every (site, hit) crash of a scenario's sweep, in sweep order. *)
+  let sweep scenario f =
+    List.iter
+      (fun (site, hits) ->
+        for hit = 1 to hits do
+          f site hit (C.Scenario.crash_at scenario ~site ~hit ~recover_after:1.0)
+        done)
+      (C.Scenario.crash_sites scenario)
+  in
+  let print_fingerprints () =
+    let line group scenario what o =
+      Printf.printf "%s %s %s %s\n" group (C.Scenario.name scenario) what
+        (C.Scenario.fingerprint o)
+    in
+    List.iter
+      (fun scen ->
+        for i = 0 to 24 do
+          line "plan" scen (string_of_int i)
+            (C.Scenario.run scen (C.Explore.plan_of_index scen ~seed:1 i))
+        done)
+      C.Scenario.all;
+    let sweeps group scens =
+      List.iter
+        (fun scen ->
+          sweep scen (fun site hit o ->
+              line group scen (Printf.sprintf "%s#%d" site hit) o))
+        scens
+    in
+    C.Scenario.(sweeps "sweep" [ quickstart; quickstart_mm; ha; sharded ]);
+    C.Scenario.(
+      sweeps "sweep-ckpt2"
+        (List.map (with_checkpoint_every 2) [ quickstart; ha; sharded ]))
+  in
+  let run scen_name budget seed replay trace sites checkpoint_every trace_out
+      fingerprint =
+    if fingerprint then begin
+      print_fingerprints ();
+      exit 0
+    end;
     let scenario =
       match C.Scenario.by_name scen_name with
       | Some s -> s
@@ -148,19 +196,12 @@ let check_cmd =
     if sites then begin
       let failures = ref 0 in
       let visited = C.Scenario.crash_sites scenario in
-      List.iter
-        (fun (site, hits) ->
-          for hit = 1 to hits do
-            let o =
-              C.Scenario.crash_at scenario ~site ~hit ~recover_after:1.0
-            in
-            if C.Scenario.failed o then begin
-              incr failures;
-              Printf.printf "  %-28s hit %d  FAILED: %s\n" site hit
-                (C.Audit.findings_to_string o.C.Scenario.findings)
-            end
-          done)
-        visited;
+      sweep scenario (fun site hit o ->
+          if C.Scenario.failed o then begin
+            incr failures;
+            Printf.printf "  %-28s hit %d  FAILED: %s\n" site hit
+              (C.Audit.findings_to_string o.C.Scenario.findings)
+          end);
       let combos = List.fold_left (fun a (_, n) -> a + n) 0 visited in
       Printf.printf "crash-site sweep: %d sites, %d (site, hit) combinations\n"
         (List.length visited) combos;
@@ -209,7 +250,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Deterministic simulation testing: explore fault \
                             schedules, enumerate crash points, replay repros")
     Term.(const run $ scenario_arg $ budget $ seed $ replay $ trace $ sites
-          $ checkpoint_every $ trace_out)
+          $ checkpoint_every $ trace_out $ fingerprint)
 
 let stats_cmd =
   let module C = Rrq_check in

@@ -10,6 +10,9 @@ type outcome = {
   requests : int;  (** Requests the clients attempted. *)
   replies : int;  (** Replies the clients actually received. *)
   virtual_time : float;  (** Virtual time at quiescence. *)
+  disks : (string * int * int) list;
+      (** Every node's [(name, Disk.sync_count, Disk.synced_bytes)] at
+          quiescence, sites first, then the client node. *)
 }
 
 type t
@@ -33,6 +36,12 @@ val run : ?policy:Rrq_sim.Sched.policy -> t -> Plan.t -> outcome
 (** Run one plan to quiescence and audit. [policy] overrides the plan's
     scheduling policy (used to re-run a schedule under [Replay] of a
     recorded trace). *)
+
+val fingerprint : outcome -> string
+(** Hex digest of everything a run determines: the decision trace, the
+    findings, replies and requests, the virtual time and every node's
+    disk sync counters. Two runs with equal fingerprints behaved
+    identically, down to the bytes they forced. *)
 
 val quickstart : t
 (** The paper's System Model on one backend site: 2 correct clerks x 2

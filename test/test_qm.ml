@@ -754,6 +754,109 @@ let prop_no_loss_no_dup =
                  (Hashtbl.length enqueued) accounted);
           true))
 
+(* --- log format and force budget ---------------------------------------- *)
+
+(* Digest of every file on the disk (log segments, checkpoint snapshot,
+   queue pages), in name order. *)
+let disk_digest disk =
+  Disk.list_files disk
+  |> List.sort compare
+  |> List.map (fun f ->
+         f ^ "=" ^ Option.value ~default:"" (Disk.read_file disk f))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* A fixed script touching every redo constructor and every record kind
+   (one-phase, prepare, commit, abort, immediate), a volatile queue, a
+   main-memory queue, an abort that bumps the retry count and then moves
+   the element to its error queue, an idle-workspace abort, a checkpoint
+   holding an in-doubt transaction, and recovery from it. The digests pin
+   the on-disk bytes: any change to the log format, the snapshot layout or
+   the record sequence shows up here. *)
+let test_log_golden () =
+  H.run_fiber' (fun s ->
+      let disk = Disk.create "n" in
+      let qm = Qm.open_qm disk ~name:"qm" in
+      Qm.set_clock qm (fun () -> Sched.now s);
+      let attrs = { Qm.default_attrs with retry_limit = 2 } in
+      Qm.create_queue qm ~attrs "q";
+      Qm.create_queue qm ~attrs:{ attrs with durability = Qm.Main_memory } "mm";
+      Qm.create_queue qm ~attrs:{ attrs with durability = Qm.Volatile } "v";
+      Qm.create_queue qm "tmp";
+      let reg q = fst (Qm.register qm ~queue:q ~registrant:"r" ~stable:true) in
+      let hq = reg "q" and hmm = reg "mm" and hv = reg "v" and ht = reg "tmp" in
+      let part = Qm.participant qm in
+      ignore (enq ~tag:"t1" qm hq "a");
+      ignore (enq qm hmm "m1");
+      ignore (enq qm hv "v1");
+      ignore (enq qm hq "b");
+      (* prepare + commit: a tagged dequeue with a volatile enqueue *)
+      ignore (Qm.dequeue qm (tx 1) hq ~tag:"t2" Qm.No_wait);
+      ignore (Qm.enqueue qm (tx 1) hv "v2");
+      ignore (part.Tm.p_prepare (tx 1) ~coordinator:"tm");
+      ignore (part.Tm.p_commit (tx 1));
+      (* a workspace abort bumps the retry count ... *)
+      ignore (Qm.dequeue qm (tx 2) hq Qm.No_wait);
+      part.Tm.p_abort (tx 2);
+      (* ... and a prepared abort at the limit moves it to q.err *)
+      ignore (Qm.dequeue qm (tx 3) hq Qm.No_wait);
+      ignore (part.Tm.p_prepare (tx 3) ~coordinator:"tm");
+      part.Tm.p_abort (tx 3);
+      (* an idle workspace aborted by the staleness timeout *)
+      ignore (Qm.dequeue qm (tx 4) hmm Qm.No_wait);
+      Sched.sleep 10.0;
+      Alcotest.(check int) "stale aborted" 1 (Qm.abort_stale qm ~older_than:5.0);
+      let victim = enq qm hmm "doomed" in
+      Alcotest.(check bool) "killed" true (Qm.kill_element qm victim);
+      Qm.alter_queue qm "q" { attrs with retry_limit = 5 };
+      Qm.stop_queue qm "q";
+      Qm.start_queue qm "q";
+      Qm.deregister qm ht;
+      Qm.destroy_queue qm "tmp";
+      (* in doubt across the checkpoint *)
+      ignore (Qm.enqueue qm (tx 5) hq "c");
+      ignore (Qm.enqueue qm (tx 5) hv "v3");
+      ignore (part.Tm.p_prepare (tx 5) ~coordinator:"tm");
+      Qm.checkpoint qm;
+      ignore (enq qm hq "d");
+      Alcotest.(check string) "log before recovery"
+        "cb7820cf053b1e4bcb305a0749816810" (disk_digest disk);
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      Alcotest.(check int) "in doubt after recovery" 1
+        (List.length (Qm.in_doubt qm2));
+      ignore ((Qm.participant qm2).Tm.p_commit (tx 5));
+      Alcotest.(check (list string)) "q after recovery" [ "c"; "d" ]
+        (List.map (fun e -> e.Element.payload) (Qm.elements qm2 "q"));
+      Alcotest.(check (list string)) "q.err after recovery" [ "b" ]
+        (List.map (fun e -> e.Element.payload) (Qm.elements qm2 "q.err"));
+      Alcotest.(check string) "log after recovery"
+        "f94637d003fc50047610788456cdafd3" (disk_digest disk))
+
+(* Every abort is one force: the abort record and the retry-count fixups
+   it implies go to the log together. *)
+let test_abort_one_force () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ = setup disk "q" in
+      let part = Qm.participant qm in
+      let syncs_of f =
+        let before = Disk.sync_count disk in
+        f ();
+        Disk.sync_count disk - before
+      in
+      ignore (enq qm h "a");
+      ignore (Qm.dequeue qm (tx 1) h Qm.No_wait);
+      ignore (part.Tm.p_prepare (tx 1) ~coordinator:"c");
+      Alcotest.(check int) "prepared dequeue" 1
+        (syncs_of (fun () -> part.Tm.p_abort (tx 1)));
+      ignore (Qm.dequeue qm (tx 2) h Qm.No_wait);
+      Alcotest.(check int) "workspace dequeue" 1
+        (syncs_of (fun () -> part.Tm.p_abort (tx 2)));
+      ignore (Qm.enqueue qm (tx 3) h "b");
+      ignore (part.Tm.p_prepare (tx 3) ~coordinator:"c");
+      Alcotest.(check int) "prepared enqueue" 1
+        (syncs_of (fun () -> part.Tm.p_abort (tx 3))))
+
 let basics =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -833,4 +936,9 @@ let () =
       ("registration", registration);
       ("features", features);
       ("blocking", blocking);
+      ( "log",
+        [
+          Alcotest.test_case "golden log bytes" `Quick test_log_golden;
+          Alcotest.test_case "one force per abort" `Quick test_abort_one_force;
+        ] );
     ]
