@@ -191,7 +191,7 @@ let attempt_resync t =
     (* From here to the last [set_shipper] there must be no yield: the
        snapshots and the retained-record sets must cut the three logs at
        one instant. Ship rounds triggered meanwhile park on [synced]. *)
-    let qm_snap = Qm.snapshot_image (Site.qm t.site) in
+    let qm_snap = Qm.encode_snapshot (Site.qm t.site) in
     let kv_snap = Kvdb.encode_snapshot (Site.kv t.site) in
     let sync = t.mode = Sync in
     List.iter

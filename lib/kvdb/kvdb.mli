@@ -51,13 +51,6 @@ val release_locks : t -> Rrq_txn.Txid.t -> unit
 (** Release a transaction's locks without logging (used by abort paths that
     never touched durable state). Normally called via {!participant}. *)
 
-val in_doubt : t -> (Rrq_txn.Txid.t * string) list
-(** Prepared-but-unresolved transactions with their coordinator names; the
-    hosting node's resolver daemon polls the coordinators for these. *)
-
-val is_prepared : t -> Rrq_txn.Txid.t -> bool
-(** The transaction is prepared here and not yet resolved. *)
-
 val committed_value : t -> string -> string option
 (** Read the committed state directly, without locks or a transaction —
     for audits and tests, not for servers. *)
@@ -65,18 +58,8 @@ val committed_value : t -> string -> string option
 val committed_bindings : t -> (string * string) list
 (** All committed key/value pairs, sorted by key (audit helper). *)
 
-val checkpoint : t -> unit
-val maybe_checkpoint : t -> every:int -> unit
-val live_log_bytes : t -> int
+(** {1 Recovery, checkpoints and replication}
 
-(** {1 Replication hooks}
+    The {!Rrq_txn.Rm.Make} surface, documented there. *)
 
-    Primary-backup WAL shipping (see {!Rrq_core.Ha}); re-exports of the
-    {!Rrq_txn.Rm.Make} standby surface. [standby_apply] returns the txid a
-    shipped 2PC commit record committed. *)
-
-val group_commit : t -> Rrq_wal.Group_commit.t
-val encode_snapshot : t -> string
-val standby_apply : t -> string -> Rrq_txn.Txid.t option
-val standby_force : t -> unit
-val standby_install : t -> string -> unit
+include Rrq_txn.Rm.SHARED with type t := t

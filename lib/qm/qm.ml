@@ -1,8 +1,7 @@
 module Codec = Rrq_util.Codec
-module Wal = Rrq_wal.Wal
-module Group_commit = Rrq_wal.Group_commit
 module Disk = Rrq_storage.Disk
 module Lock = Rrq_txn.Lock
+module Rm = Rrq_txn.Rm
 module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
 module Cond = Rrq_sim.Cond
@@ -111,37 +110,32 @@ type redo =
   | RSet_stopped of string * bool
   | RAlter of string * attrs
 
+(* A workspace entry, the QM's [Rm] redo record: an update plus, for a
+   dequeue, the error queue its abort should move the element to. *)
 type ws_op = { op_redo : redo; op_errq : string option }
 
-type ws = { mutable ops : ws_op list (* newest first *); mutable activity : float }
-type prep = { p_coord : string; p_ops : ws_op list (* oldest first *) }
-
-type t = {
+(* The queue manager's in-memory state: everything [Rm] does not own. The
+   workspaces, the in-doubt table and the log live in [Base] below. *)
+type state = {
   qm_name : string;
-  wal : Wal.t;
-  gc : Group_commit.t;
+  disk : Disk.t;
   queues : (string, queue) Hashtbl.t;
-  index : (string * Element.t) Eidtbl.t;
+  index : (queue * Element.t) Eidtbl.t; (* eid -> its queue, element *)
   regs : (string * string, reg) Hashtbl.t;
   locks : Lock.t;
-  workspaces : (Txid.t, ws) Hashtbl.t;
-  prepared : (Txid.t, prep) Hashtbl.t;
   triggers : (string, trigger list) Hashtbl.t;
   mutable incarnations : int;
   mutable next_eid_low : int64;
-  mutable replaying : bool;
   mutable abort_cb : Txid.t -> unit;
   mutable alert_cb : string -> int -> unit;
   mutable clock : unit -> float;
   mutable internal_seq : float;
   mutable auto_n : int;
   auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
-  (* Page image buffer for the stable queue store's read-modify-write. *)
+  (* Page image buffer and encoder for the stable queue store's
+     read-modify-write. *)
   page : Bytes.t;
-  (* One-slot workspace cache: the single open transaction of the default
-     auto-commit flow bypasses the Txid-keyed [workspaces] table entirely.
-     Invariant: a cached workspace is NOT in the table. *)
-  mutable ws_cache : (Txid.t * ws) option;
+  page_enc : Codec.encoder;
 }
 
 (* ---- codecs -------------------------------------------------------- *)
@@ -285,25 +279,10 @@ let decode_ws_op d =
   let op_redo = decode_redo d in
   { op_redo; op_errq }
 
-(* Log record kinds (framing around redo lists). *)
-let k_one_phase = 1
-let k_prepare = 2
-let k_commit = 3
-let k_abort = 4
-let k_now = 5
-
-let decode_record payload =
-  let d = Codec.decoder payload in
-  let kind = Codec.get_u8 d in
-  let txid = Codec.get_option Txid.decode d in
-  let coordinator = Codec.get_string d in
-  let ops = Codec.get_list decode_ws_op d in
-  (kind, txid, coordinator, ops)
-
 (* ---- state helpers -------------------------------------------------- *)
 
-let get_queue t qn =
-  match Hashtbl.find_opt t.queues qn with
+let get_queue st qn =
+  match Hashtbl.find_opt st.queues qn with
   | Some q -> q
   | None -> raise (No_such_queue qn)
 
@@ -323,60 +302,59 @@ let make_queue qname qattrs =
 let default_error_queue q =
   match q.qattrs.error_queue with Some n -> n | None -> q.qname ^ ".err"
 
-let ensure_queue t qn attrs =
-  if not (Hashtbl.mem t.queues qn) then
-    Hashtbl.replace t.queues qn (make_queue qn attrs)
+let ensure_queue st qn attrs =
+  if not (Hashtbl.mem st.queues qn) then
+    Hashtbl.replace st.queues qn (make_queue qn attrs)
 
 let queue_depth q = Emap.cardinal q.elems
 
-let check_alert t q =
-  if not t.replaying then
+let check_alert st ~live q =
+  if live then
     match q.qattrs.alert_threshold with
     | Some thr ->
       let d = queue_depth q in
       if d >= thr && not q.alerted then begin
         q.alerted <- true;
-        t.alert_cb q.qname d
+        st.alert_cb q.qname d
       end
       else if d < thr then q.alerted <- false
     | None -> ()
 
-let remove_element t eid =
-  match Eidtbl.find_opt t.index eid with
+let remove_element st eid =
+  match Eidtbl.find_opt st.index eid with
   | None -> None
-  | Some (qn, el) ->
-    let q = get_queue t qn in
+  | Some (q, el) ->
     q.elems <- Emap.remove (Element.key el) q.elems;
-    Eidtbl.remove t.index eid;
+    Eidtbl.remove st.index eid;
     (match q.qattrs.alert_threshold with
     | Some thr when queue_depth q < thr -> q.alerted <- false
     | _ -> ());
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.set_gauge
-        (Printf.sprintf "qm.depth:%s/%s" t.qm_name q.qname)
+        (Printf.sprintf "qm.depth:%s/%s" st.qm_name q.qname)
         (float_of_int (queue_depth q));
     Some (q, el)
 
 (* Insert, following redirection, then fire any completed trigger group. *)
-let rec insert_element t qn el =
-  let q = get_queue t qn in
+let rec insert_element st ~live qn el =
+  let q = get_queue st qn in
   match q.qattrs.redirect_to with
-  | Some target when target <> qn && Hashtbl.mem t.queues target ->
-    insert_element t target el
+  | Some target when target <> qn && Hashtbl.mem st.queues target ->
+    insert_element st ~live target el
   | _ ->
     q.elems <- Emap.add (Element.key el) el q.elems;
-    Eidtbl.replace t.index el.Element.eid (q.qname, el);
-    if not t.replaying then q.n_enq <- q.n_enq + 1;
+    Eidtbl.replace st.index el.Element.eid (q, el);
+    if live then q.n_enq <- q.n_enq + 1;
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.set_gauge
-        (Printf.sprintf "qm.depth:%s/%s" t.qm_name q.qname)
+        (Printf.sprintf "qm.depth:%s/%s" st.qm_name q.qname)
         (float_of_int (queue_depth q));
     Cond.signal q.nonempty;
-    check_alert t q;
-    check_triggers t q el
+    check_alert st ~live q;
+    check_triggers st ~live q el
 
-and check_triggers t q el =
-  match Hashtbl.find_opt t.triggers q.qname with
+and check_triggers st ~live q el =
+  match Hashtbl.find_opt st.triggers q.qname with
   | None -> ()
   | Some trigs ->
     List.iter
@@ -397,27 +375,27 @@ and check_triggers t q el =
           if members <> [] && trig.complete members then begin
             let outputs = trig.make members in
             List.iter
-              (fun m -> ignore (remove_element t m.Element.eid))
+              (fun m -> ignore (remove_element st m.Element.eid))
               members;
             List.iter
               (fun (target, payload, props) ->
-                let eid = fresh_eid t in
+                let eid = fresh_eid st in
                 let out =
                   Element.make ~eid ~payload ~props ~priority:0
-                    ~enq_time:(now t)
+                    ~enq_time:(now st)
                 in
-                insert_element t target out)
+                insert_element st ~live target out)
               outputs
           end)
       trigs
 
-and fresh_eid t =
-  t.next_eid_low <- Int64.add t.next_eid_low 1L;
-  Int64.add (Int64.mul (Int64.of_int t.incarnations) 0x100000000L) t.next_eid_low
+and fresh_eid st =
+  st.next_eid_low <- Int64.add st.next_eid_low 1L;
+  Int64.add (Int64.mul (Int64.of_int st.incarnations) 0x100000000L) st.next_eid_low
 
-and now t =
-  t.internal_seq <- t.internal_seq +. 1.0;
-  t.clock () +. (t.internal_seq *. 1e-9)
+and now st =
+  st.internal_seq <- st.internal_seq +. 1.0;
+  st.clock () +. (st.internal_seq *. 1e-9)
 
 (* Trigger outputs allocate eids at apply time. During replay this re-runs
    with the same incarnation counter state as the original run *only if*
@@ -425,155 +403,119 @@ and now t =
    apply order equals log order. Post-crash incarnation bumps keep fresh
    eids unique anyway. *)
 
-let apply t op =
+let apply st ~live op =
   (* Operation counters live here (not in the workspace path) so they count
-     committed effects only, and the [replaying] guard keeps recovery from
-     double-counting a run's history. *)
-  let live = not t.replaying && Rrq_obs.enabled () in
+     committed effects only, and [live] keeps replay (recovery, a standby)
+     from double-counting a run's history. *)
+  let obs = live && Rrq_obs.enabled () in
   match op with
-  | RCreate (qn, a) -> ensure_queue t qn a
+  | RCreate (qn, a) -> ensure_queue st qn a
   | REnq (qn, el) ->
-    if live then Rrq_obs.Metrics.inc ("qm.enqueues:" ^ t.qm_name);
-    insert_element t qn el
+    if obs then Rrq_obs.Metrics.inc ("qm.enqueues:" ^ st.qm_name);
+    insert_element st ~live qn el
   | RDeq eid -> begin
-    match remove_element t eid with
+    match remove_element st eid with
     | Some (q, el) ->
-      if not t.replaying then q.n_deq <- q.n_deq + 1;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.dequeues:" ^ t.qm_name);
+      if live then q.n_deq <- q.n_deq + 1;
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.dequeues:" ^ st.qm_name);
         Rrq_obs.Metrics.observe
-          (Printf.sprintf "qm.wait:%s/%s" t.qm_name q.qname)
-          (t.clock () -. el.Element.enq_time)
+          (Printf.sprintf "qm.wait:%s/%s" st.qm_name q.qname)
+          (st.clock () -. el.Element.enq_time)
       end
     | None -> ()
   end
   | RKill eid ->
-    if live then Rrq_obs.Metrics.inc ("qm.kills:" ^ t.qm_name);
-    ignore (remove_element t eid)
+    if obs then Rrq_obs.Metrics.inc ("qm.kills:" ^ st.qm_name);
+    ignore (remove_element st eid)
   | RBump eid -> begin
-    match Eidtbl.find_opt t.index eid with
+    match Eidtbl.find_opt st.index eid with
     | Some (_, el) ->
       el.Element.delivery_count <- el.Element.delivery_count + 1;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.bumps:" ^ t.qm_name);
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.bumps:" ^ st.qm_name);
         Rrq_obs.Metrics.observe
-          ("qm.abort_count:" ^ t.qm_name)
+          ("qm.abort_count:" ^ st.qm_name)
           (float_of_int el.Element.delivery_count)
       end
     | None -> ()
   end
   | RMove_error (eid, errq, code) -> begin
-    match remove_element t eid with
+    match remove_element st eid with
     | None -> ()
     | Some (_, el) ->
       el.Element.abort_code <- Some code;
       el.Element.status <- Element.Ready;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.spills:" ^ t.qm_name);
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.spills:" ^ st.qm_name);
         Rrq_obs.Trace.emit
           (Rrq_obs.Event.Error_spill
-             { qm = t.qm_name; error_queue = errq; eid; code })
+             { qm = st.qm_name; error_queue = errq; eid; code })
       end;
-      ensure_queue t errq
+      ensure_queue st errq
         { default_attrs with retry_limit = max_int; error_queue = Some errq };
-      insert_element t errq el
+      insert_element st ~live errq el
   end
   | RRegister (r, qn, stable) ->
-    if not (Hashtbl.mem t.regs (r, qn)) then
-      Hashtbl.replace t.regs (r, qn)
+    if not (Hashtbl.mem st.regs (r, qn)) then
+      Hashtbl.replace st.regs (r, qn)
         { r_registrant = r; r_queue = qn; r_stable = stable; r_last = None }
-  | RDeregister (r, qn) -> Hashtbl.remove t.regs (r, qn)
+  | RDeregister (r, qn) -> Hashtbl.remove st.regs (r, qn)
   | RSet_last (r, qn, l) -> begin
-    match Hashtbl.find_opt t.regs (r, qn) with
+    match Hashtbl.find_opt st.regs (r, qn) with
     | Some reg -> reg.r_last <- l
     | None -> ()
   end
   | RIncarnation ->
-    t.incarnations <- t.incarnations + 1;
-    t.next_eid_low <- 0L
+    st.incarnations <- st.incarnations + 1;
+    st.next_eid_low <- 0L
   | RDestroy qn -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt st.queues qn with
     | None -> ()
     | Some q ->
-      Emap.iter (fun _ el -> Eidtbl.remove t.index el.Element.eid) q.elems;
-      Hashtbl.remove t.queues qn;
+      Emap.iter (fun _ el -> Eidtbl.remove st.index el.Element.eid) q.elems;
+      Hashtbl.remove st.queues qn;
       let doomed =
         Hashtbl.fold
           (fun key reg acc -> if reg.r_queue = qn then key :: acc else acc)
-          t.regs []
+          st.regs []
       in
-      List.iter (Hashtbl.remove t.regs) doomed
+      List.iter (Hashtbl.remove st.regs) doomed
   end
   | RSet_stopped (qn, flag) -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt st.queues qn with
     | Some q ->
       q.stopped <- flag;
       if not flag then Cond.broadcast q.nonempty
     | None -> ()
   end
   | RAlter (qn, a) -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt st.queues qn with
     | Some q ->
       q.qattrs <- a;
-      check_alert t q
+      check_alert st ~live q
     | None -> ()
   end
 
-(* A redo is logged iff every queue it touches is recoverable (stable or
-   main-memory); registration records are always logged. Volatile-queue
-   updates are applied but never logged — they cost no forced writes and
-   evaporate on crash. Main-memory queues are logged like stable ones (the
-   redo record IS their durability), they just take the cheaper encode
-   route at commit. *)
-let redo_is_stable t = function
-  | RCreate (_, _) -> true (* DDL is durable even for volatile queues *)
-  | REnq (qn, _) -> begin
-    match Hashtbl.find_opt t.queues qn with
-    | Some q -> q.qattrs.durability <> Volatile
-    | None -> true
-  end
-  | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> begin
-    match Eidtbl.find_opt t.index eid with
-    | Some (qn, _) -> (get_queue t qn).qattrs.durability <> Volatile
-    | None -> true
-  end
-  | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation -> true
-  | RDestroy _ | RSet_stopped _ | RAlter _ -> true
+(* The queue an element update touches; [None] for an update that names
+   no queue, or one that no longer exists. *)
+let target_queue st = function
+  | REnq (qn, _) -> Hashtbl.find_opt st.queues qn
+  | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> (
+    match Eidtbl.find_opt st.index eid with Some (q, _) -> Some q | None -> None)
+  | RCreate _ | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
+  | RDestroy _ | RSet_stopped _ | RAlter _ ->
+    None
 
-(* One classification pass per commit, resolving each op's queue durability
-   exactly once (this replaced a [List.filter] + [List.for_all] pair that
-   re-resolved every op). Returns:
-   - [any_volatile]: some op touches a volatile queue, so the logged set is
-     a strict subset of [ops] (recomputed with {!redo_is_stable} — rare);
-   - [pages]: the element updates on [Stable] queues that owe an in-place
-     queue-page write, with their queue resolved before any effect is
-     applied (a dequeue's index entry is gone after apply). *)
-let classify_ops t ops =
-  let any_volatile = ref false in
-  let pages = ref [] in
-  let on_queue qn op =
-    match Hashtbl.find_opt t.queues qn with
-    | None -> ()
-    | Some q -> begin
-      match q.qattrs.durability with
-      | Main_memory -> ()
-      | Volatile -> any_volatile := true
-      | Stable -> pages := (qn, op.op_redo) :: !pages
-    end
-  in
-  List.iter
-    (fun op ->
-      match op.op_redo with
-      | REnq (qn, _) -> on_queue qn op
-      | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> begin
-        match Eidtbl.find_opt t.index eid with
-        | Some (qn, _) -> on_queue qn op
-        | None -> ()
-      end
-      | RCreate _ | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
-      | RDestroy _ | RSet_stopped _ | RAlter _ -> ())
-    ops;
-  (!any_volatile, List.rev !pages)
+(* An op is logged unless it touches a volatile queue; DDL and registration
+   records are always logged. Volatile-queue updates are applied but never
+   logged — they cost no forced writes and evaporate on crash. Main-memory
+   queues are logged like stable ones (the redo record IS their
+   durability); they only skip the page store. *)
+let logged st op =
+  match target_queue st op.op_redo with
+  | Some q -> q.qattrs.durability <> Volatile
+  | None -> true
 
 (* Disk-resident queue modeling (paper secs. 2 and 10): every committed
    element update on a [Stable] queue pays a read-modify-write of the
@@ -586,24 +528,35 @@ let classify_ops t ops =
    as a log force, and ignored by recovery — the WAL stays authoritative. *)
 let page_size = 4096
 
-let qstore_file t qn q =
+(* The page writes a commit owes, in op order: its element updates on
+   [Stable] queues, resolved before any effect is applied (a dequeue's
+   index entry is gone after apply). *)
+let rec page_updates st = function
+  | [] -> []
+  | op :: rest -> (
+    match target_queue st op.op_redo with
+    | Some { qattrs = { durability = Stable; _ }; qname; _ } ->
+      (qname, op.op_redo) :: page_updates st rest
+    | Some _ | None -> page_updates st rest)
+
+let qstore_file st qn q =
   match q.qstore with
   | Some f -> f
   | None ->
-    let f = Disk.open_file (Wal.disk t.wal) (t.qm_name ^ ".qstore." ^ qn) in
+    let f = Disk.open_file st.disk (st.qm_name ^ ".qstore." ^ qn) in
     q.qstore <- Some f;
     f
 
-let store_write t pages =
+(* Runs after the commit's log force (write-ahead rule). *)
+let store_write st pages =
   List.iter
     (fun (qn, redo) ->
-      match Hashtbl.find_opt t.queues qn with
+      match Hashtbl.find_opt st.queues qn with
       | None -> () (* queue destroyed in the same transaction *)
       | Some q ->
-        let f = qstore_file t qn q in
-        (* Borrow the log's scratch encoder for the page image: it is free
-           between records, and nothing here yields. *)
-        let e = Group_commit.encoder t.gc in
+        let f = qstore_file st qn q in
+        let e = st.page_enc in
+        Codec.reset e;
         (match redo with
         | REnq (_, el) ->
           Codec.u8 e 1;
@@ -623,31 +576,46 @@ let store_write t pages =
         | RCreate _ | RRegister _ | RDeregister _ | RSet_last _
         | RIncarnation | RDestroy _ | RSet_stopped _ | RAlter _ -> ());
         (* read back ... *)
-        Disk.read_page f t.page;
+        Disk.read_page f st.page;
         (* ... modify in place ... *)
         let len = min (Codec.length e) page_size in
-        Bytes.blit (Codec.bytes e) 0 t.page 0 len;
+        Bytes.blit (Codec.bytes e) 0 st.page 0 len;
         (* ... write the whole page *)
-        Disk.write_page f t.page)
+        Disk.write_page f st.page)
     pages
 
-(* Append one log record. Every record — prepare, commit, abort, one-phase
-   or immediate, on any queue class — is encoded into the log's reused
-   scratch encoder and framed straight into the device's pending bytes: no
-   fresh encoder, no [to_string], no frame copy. *)
-let append_record t kind txid_opt coordinator ops =
-  let e = Group_commit.encoder t.gc in
-  Codec.u8 e kind;
-  Codec.option Txid.encode e txid_opt;
-  Codec.string e coordinator;
-  Codec.list encode_ws_op e ops;
-  Group_commit.append_enc t.gc e
+(* Returning a dequeued element to its queue after an abort: bump its retry
+   count durably; if the limit is hit, move it to the error queue instead
+   (§4.2). *)
+let restore_element st op =
+  match op.op_redo with
+  | RDeq eid -> begin
+    match Eidtbl.find_opt st.index eid with
+    | None -> []
+    | Some (q, el) ->
+      el.Element.status <- Element.Ready;
+      Cond.signal q.nonempty;
+      let bump = { op_redo = RBump eid; op_errq = None } in
+      if el.Element.delivery_count + 1 >= q.qattrs.retry_limit then begin
+        let errq =
+          match op.op_errq with Some e -> e | None -> default_error_queue q
+        in
+        let code =
+          Printf.sprintf "aborted %d times" (el.Element.delivery_count + 1)
+        in
+        [ bump; { op_redo = RMove_error (eid, errq, code); op_errq = None } ]
+      end
+      else [ bump ]
+  end
+  | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _ | RRegister _
+  | RDeregister _ | RSet_last _ | RIncarnation | RDestroy _ | RSet_stopped _
+  | RAlter _ ->
+    []
 
 (* ---- snapshot / recovery ------------------------------------------- *)
 
-let encode_snapshot t =
-  let e = Codec.encoder () in
-  Codec.int e t.incarnations;
+let encode_state e st =
+  Codec.int e st.incarnations;
   (* recoverable queues only: volatile contents die with the process
      anyway. Main-memory queues must be included — the checkpoint deletes
      the segments holding their redo records, so the snapshot is the
@@ -655,7 +623,7 @@ let encode_snapshot t =
   let stable_queues =
     Hashtbl.fold
       (fun _ q acc -> if q.qattrs.durability <> Volatile then q :: acc else acc)
-      t.queues []
+      st.queues []
     |> List.sort (fun a b -> compare a.qname b.qname)
   in
   Codec.int e (List.length stable_queues);
@@ -667,47 +635,42 @@ let encode_snapshot t =
       Emap.iter (fun _ el -> Element.encode e el) q.elems)
     stable_queues;
   let stopped_queues =
-    Hashtbl.fold (fun qn q acc -> if q.stopped then qn :: acc else acc) t.queues []
+    Hashtbl.fold (fun qn q acc -> if q.stopped then qn :: acc else acc) st.queues []
   in
   Codec.list Codec.string e (List.sort compare stopped_queues);
-  Codec.int e (Hashtbl.length t.regs);
+  Codec.int e (Hashtbl.length st.regs);
   Hashtbl.iter
     (fun (r, qn) reg ->
       Codec.string e r;
       Codec.string e qn;
       Codec.bool e reg.r_stable;
       Codec.option encode_last_op e reg.r_last)
-    t.regs;
-  Codec.int e (Hashtbl.length t.prepared);
-  Hashtbl.iter
-    (fun id p ->
-      Txid.encode e id;
-      Codec.string e p.p_coord;
-      Codec.list encode_ws_op e
-        (List.filter (fun op -> redo_is_stable t op.op_redo) p.p_ops))
-    t.prepared;
-  Codec.to_string e
+    st.regs
 
-let restore_snapshot t snap =
-  let d = Codec.decoder snap in
-  t.incarnations <- Codec.get_int d;
+(* In place: the hosting site, its servers and the HA layer keep their
+   reference to the state across a standby install. *)
+let restore_state st d =
+  Hashtbl.reset st.queues;
+  Eidtbl.reset st.index;
+  Hashtbl.reset st.regs;
+  st.incarnations <- Codec.get_int d;
   let nq = Codec.get_int d in
   for _ = 1 to nq do
     let qn = Codec.get_string d in
     let a = decode_attrs d in
     let q = make_queue qn a in
-    Hashtbl.replace t.queues qn q;
+    Hashtbl.replace st.queues qn q;
     let ne = Codec.get_int d in
     for _ = 1 to ne do
       let el = Element.decode d in
       q.elems <- Emap.add (Element.key el) el q.elems;
-      Eidtbl.replace t.index el.Element.eid (qn, el)
+      Eidtbl.replace st.index el.Element.eid (q, el)
     done
   done;
   let stopped_queues = Codec.get_list Codec.get_string d in
   List.iter
     (fun qn ->
-      match Hashtbl.find_opt t.queues qn with
+      match Hashtbl.find_opt st.queues qn with
       | Some q -> q.stopped <- true
       | None -> ())
     stopped_queues;
@@ -717,108 +680,70 @@ let restore_snapshot t snap =
     let qn = Codec.get_string d in
     let stable = Codec.get_bool d in
     let last = Codec.get_option decode_last_op d in
-    Hashtbl.replace t.regs (r, qn)
+    Hashtbl.replace st.regs (r, qn)
       { r_registrant = r; r_queue = qn; r_stable = stable; r_last = last }
-  done;
-  let np = Codec.get_int d in
-  for _ = 1 to np do
-    let id = Txid.decode d in
-    let coord = Codec.get_string d in
-    let ops = Codec.get_list decode_ws_op d in
-    Hashtbl.replace t.prepared id { p_coord = coord; p_ops = ops }
   done
 
-(* Returns the txid a 2PC commit record committed, for the standby. *)
-let replay_record t payload =
-  let kind, txid, coordinator, ops = decode_record payload in
-  if kind = k_one_phase || kind = k_now then begin
-    List.iter (fun op -> apply t op.op_redo) ops;
-    None
-  end
-  else if kind = k_prepare then begin
-    match txid with
-    | Some id ->
-      Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops };
-      None
-    | None -> failwith "qm: prepare record without txid"
-  end
-  else if kind = k_commit then begin
-    match txid with
-    | Some id ->
-      (match Hashtbl.find_opt t.prepared id with
-      | Some p ->
-        List.iter (fun op -> apply t op.op_redo) p.p_ops;
-        Hashtbl.remove t.prepared id
-      | None -> ());
-      txid
-    | None -> failwith "qm: commit record without txid"
-  end
-  else if kind = k_abort then begin
-    match txid with
-    | Some id ->
-      Hashtbl.remove t.prepared id;
-      None
-    | None -> failwith "qm: abort record without txid"
-  end
-  else failwith (Printf.sprintf "qm: unknown record kind %d" kind)
-
-(* Re-assert the volatile exclusions of in-doubt transactions: dequeued
+(* Re-assert the volatile exclusions of an in-doubt transaction: dequeued
    elements stay locked, strict-FIFO queue locks are re-taken. *)
-let relock_prepared t =
-  Hashtbl.iter
-    (fun id p ->
-      List.iter
-        (fun op ->
-          match op.op_redo with
-          | RDeq eid -> begin
-            match Eidtbl.find_opt t.index eid with
-            | Some (qn, el) ->
-              el.Element.status <- Element.Deq_pending id;
-              let q = get_queue t qn in
-              if q.qattrs.strict_fifo then
-                Lock.acquire t.locks id ~key:("q:" ^ qn) Lock.X
-            | None -> ()
-          end
-          | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _
-          | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
-          | RDestroy _ | RSet_stopped _ | RAlter _ -> ())
-        p.p_ops)
-    t.prepared
+let relock st id ops =
+  List.iter
+    (fun op ->
+      match op.op_redo with
+      | RDeq eid -> begin
+        match Eidtbl.find_opt st.index eid with
+        | Some (q, el) ->
+          el.Element.status <- Element.Deq_pending id;
+          if q.qattrs.strict_fifo then
+            Lock.acquire st.locks id ~key:("q:" ^ q.qname) Lock.X
+        | None -> ()
+      end
+      | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _
+      | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
+      | RDestroy _ | RSet_stopped _ | RAlter _ -> ())
+    ops
 
-let log_now t ops =
-  let any_volatile, pages = classify_ops t ops in
-  let stable =
-    if any_volatile then List.filter (fun op -> redo_is_stable t op.op_redo) ops
-    else ops
-  in
-  (* Group-commit discipline: append, apply in memory without yielding, then
-     force (which may park the fiber). *)
-  if stable <> [] then append_record t k_now None "" stable;
-  List.iter (fun op -> apply t op.op_redo) ops;
-  if stable <> [] then begin
-    Group_commit.force t.gc;
-    (* In-place page updates follow the log force (write-ahead rule). *)
-    if pages <> [] then store_write t pages
-  end
+(* The queue manager as an [Rm] client: [Rm] frames, forces, replays,
+   snapshots and standby-applies its log; the QM keeps the queue state,
+   the page store and the §4.2 abort fixups. *)
+module State = struct
+  type nonrec state = state
+  type pending = (string * redo) list (* page writes: queue, update *)
+  type redo = ws_op
+
+  let log_suffix = ".qmlog"
+  let encode_redo = encode_ws_op
+  let decode_redo = decode_ws_op
+  let logged = logged
+  let apply st ~live op = apply st ~live op.op_redo
+  let pending = page_updates
+  let after_force = store_write
+  let compensate st ops = List.concat_map (restore_element st) ops
+  let clock st = st.clock ()
+  let snapshot = encode_state
+  let restore = restore_state
+  let relock = relock
+end
+
+module Base = Rm.Make (State)
+
+type t = Base.t
+
+let op redo = { op_redo = redo; op_errq = None }
+let log_now t redo = Base.apply_now t [ op redo ]
 
 let open_qm ?commit_policy ?(triggers = []) disk ~name:qm_name =
-  let wal, recovered = Wal.open_log disk ~name:(qm_name ^ ".qmlog") in
-  let gc = Group_commit.create ?policy:commit_policy wal in
-  let t =
+  let st =
     {
       qm_name;
-      wal;
-      gc;
+      disk;
       queues = Hashtbl.create 16;
       index = Eidtbl.create 256;
       regs = Hashtbl.create 32;
       locks = Lock.create ~name:"qm" ();
-      workspaces = Hashtbl.create 16;
-      prepared = Hashtbl.create 8;
       triggers = Hashtbl.create 4;
       incarnations = 0;
       next_eid_low = 0L;
-      replaying = true;
       abort_cb = (fun _ -> ());
       alert_cb = (fun _ _ -> ());
       clock = (fun () -> 0.0);
@@ -826,76 +751,73 @@ let open_qm ?commit_policy ?(triggers = []) disk ~name:qm_name =
       auto_n = 0;
       auto_origin = qm_name ^ "!auto";
       page = Bytes.make page_size '\000';
-      ws_cache = None;
+      page_enc = Codec.encoder ();
     }
   in
   List.iter
     (fun trig ->
       let cur =
-        match Hashtbl.find_opt t.triggers trig.on_queue with
+        match Hashtbl.find_opt st.triggers trig.on_queue with
         | Some l -> l
         | None -> []
       in
-      Hashtbl.replace t.triggers trig.on_queue (cur @ [ trig ]))
+      Hashtbl.replace st.triggers trig.on_queue (cur @ [ trig ]))
     triggers;
-  (match recovered.Wal.snapshot with
-  | Some snap -> restore_snapshot t snap
-  | None -> ());
-  List.iter (fun r -> ignore (replay_record t r)) recovered.Wal.records;
-  relock_prepared t;
-  t.replaying <- false;
+  let t = Base.open_rm ?commit_policy disk ~name:qm_name st in
   (* Bump the incarnation durably so eids and auto-txids never repeat. *)
-  log_now t [ { op_redo = RIncarnation; op_errq = None } ];
+  log_now t RIncarnation;
   t
 
-let name t = t.qm_name
+let name = Base.name
 
 (* ---- DDL ------------------------------------------------------------ *)
 
 let create_queue t ?(attrs = default_attrs) qn =
-  if not (Hashtbl.mem t.queues qn) then
-    log_now t [ { op_redo = RCreate (qn, attrs); op_errq = None } ]
+  if not (Hashtbl.mem (Base.state t).queues qn) then
+    log_now t (RCreate (qn, attrs))
 
 let alter_queue t qn attrs =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   if q.qattrs.durability <> attrs.durability then
     invalid_arg "Qm.alter_queue: durability class is immutable";
-  log_now t [ { op_redo = RAlter (qn, attrs); op_errq = None } ]
+  log_now t (RAlter (qn, attrs))
 
 let destroy_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RDestroy qn; op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RDestroy qn)
 
 let stop_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RSet_stopped (qn, true); op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RSet_stopped (qn, true))
 
 let start_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RSet_stopped (qn, false); op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RSet_stopped (qn, false))
 
-let queue_stopped t qn = (get_queue t qn).stopped
+let queue_stopped t qn = (get_queue (Base.state t) qn).stopped
 
-let queue_exists t qn = Hashtbl.mem t.queues qn
+let queue_exists t qn = Hashtbl.mem (Base.state t).queues qn
 
 let queue_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.queues [] |> List.sort compare
+  Hashtbl.fold (fun k _ acc -> k :: acc) (Base.state t).queues []
+  |> List.sort compare
 
-let depth t qn = queue_depth (get_queue t qn)
+let depth t qn = queue_depth (get_queue (Base.state t) qn)
 
 (* ---- registration ---------------------------------------------------- *)
 
 let register t ~queue ~registrant ~stable =
-  if not (Hashtbl.mem t.queues queue) then raise (No_such_queue queue);
+  let st = Base.state t in
+  if not (Hashtbl.mem st.queues queue) then raise (No_such_queue queue);
   let h = { h_registrant = registrant; h_queue = queue } in
-  match Hashtbl.find_opt t.regs (registrant, queue) with
+  match Hashtbl.find_opt st.regs (registrant, queue) with
   | Some reg -> (h, if reg.r_stable then reg.r_last else None)
   | None ->
-    log_now t [ { op_redo = RRegister (registrant, queue, stable); op_errq = None } ];
+    log_now t (RRegister (registrant, queue, stable));
     (h, None)
 
-let reg_of t h =
-  match Hashtbl.find_opt t.regs (h.h_registrant, h.h_queue) with
+let reg_of st h =
+  match Hashtbl.find_opt st.regs (h.h_registrant, h.h_queue) with
   | Some reg -> reg
   | None ->
     raise (Not_registered (Printf.sprintf "%s@%s" h.h_registrant h.h_queue))
@@ -904,84 +826,40 @@ let reg_of t h =
    peer repository can be probed for duplicate-suppression evidence
    (shard registration pull) without perturbing its durable state. *)
 let lookup_registration t ~queue ~registrant =
-  match Hashtbl.find_opt t.regs (registrant, queue) with
+  match Hashtbl.find_opt (Base.state t).regs (registrant, queue) with
   | Some reg when reg.r_stable -> reg.r_last
   | _ -> None
 
 let deregister t h =
-  ignore (reg_of t h);
-  log_now t
-    [ { op_redo = RDeregister (h.h_registrant, h.h_queue); op_errq = None } ]
+  ignore (reg_of (Base.state t) h);
+  log_now t (RDeregister (h.h_registrant, h.h_queue))
 
 let handle_queue h = h.h_queue
 let handle_registrant h = h.h_registrant
 
-(* ---- workspaces ------------------------------------------------------ *)
-
-(* All workspace access goes through these: the one-slot [ws_cache] holds
-   the most recent transaction's workspace OUTSIDE the table, so the
-   common one-open-transaction flow (auto-commit) never pays a Txid-keyed
-   hash. A second concurrent transaction spills the cached one back into
-   the table. *)
-let ws_find t id =
-  match t.ws_cache with
-  | Some (cid, ws) when Txid.equal cid id -> Some ws
-  | _ -> Hashtbl.find_opt t.workspaces id
-
-let ws_mem t id =
-  match ws_find t id with Some _ -> true | None -> false
-
-let ws_remove t id =
-  match t.ws_cache with
-  | Some (cid, _) when Txid.equal cid id -> t.ws_cache <- None
-  | _ -> Hashtbl.remove t.workspaces id
-
-let ws_fold t f acc =
-  let acc = Hashtbl.fold f t.workspaces acc in
-  match t.ws_cache with Some (id, ws) -> f id ws acc | None -> acc
-
-let ws_of t id =
-  match ws_find t id with
-  | Some ws ->
-    ws.activity <- t.clock ();
-    ws
-  | None ->
-    let ws = { ops = []; activity = t.clock () } in
-    (match t.ws_cache with
-    | Some (cid, cws) -> Hashtbl.replace t.workspaces cid cws
-    | None -> ());
-    t.ws_cache <- Some (id, ws);
-    ws
-
-let add_op t id op =
-  let ws = ws_of t id in
-  ws.ops <- op :: ws.ops
-
 (* ---- data manipulation ----------------------------------------------- *)
 
 let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
-  let reg = reg_of t h in
-  if (get_queue t h.h_queue).stopped then raise (Stopped h.h_queue);
-  let eid = fresh_eid t in
-  let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now t) in
-  add_op t id { op_redo = REnq (h.h_queue, el); op_errq = None };
+  let st = Base.state t in
+  let reg = reg_of st h in
+  if (get_queue st h.h_queue).stopped then raise (Stopped h.h_queue);
+  let eid = fresh_eid st in
+  let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now st) in
+  Base.add_redo t id (op (REnq (h.h_queue, el)));
   (match tag with
   | Some tag when reg.r_stable ->
-    add_op t id
-      {
-        op_redo =
-          RSet_last
+    Base.add_redo t id
+      (op
+         (RSet_last
             ( h.h_registrant,
               h.h_queue,
               Some { op_kind = `Enqueue; tag; op_eid = eid; element_copy = Some el }
-            );
-        op_errq = None;
-      }
+            )))
   | _ -> ());
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Enqueue
-         { qm = t.qm_name; queue = h.h_queue; eid; txid = Txid.to_string id });
+         { qm = st.qm_name; queue = h.h_queue; eid; txid = Txid.to_string id });
   eid
 
 let select_ready ?rank q filter =
@@ -1017,15 +895,14 @@ let select_ready ?rank q filter =
 (* [reg] is the caller's already-resolved registration for [h] — dequeue
    validates it up front, so resolving it again here would be a second
    hash of the same key on every dequeue. *)
-let take t id h ~reg ?tag ?errq q el =
+let take t id h ~reg ?tag ?errq el =
   el.Element.status <- Element.Deq_pending id;
-  add_op t id { op_redo = RDeq el.Element.eid; op_errq = errq };
+  Base.add_redo t id { op_redo = RDeq el.Element.eid; op_errq = errq };
   (match tag with
   | Some tag when reg.r_stable ->
-    add_op t id
-      {
-        op_redo =
-          RSet_last
+    Base.add_redo t id
+      (op
+         (RSet_last
             ( h.h_registrant,
               h.h_queue,
               Some
@@ -1034,16 +911,13 @@ let take t id h ~reg ?tag ?errq q el =
                   tag;
                   op_eid = el.Element.eid;
                   element_copy = Some el;
-                } );
-        op_errq = None;
-      }
+                } )))
   | _ -> ());
-  ignore q;
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Dequeue
          {
-           qm = t.qm_name;
+           qm = (Base.state t).qm_name;
            queue = h.h_queue;
            eid = el.Element.eid;
            txid = Txid.to_string id;
@@ -1056,18 +930,19 @@ let with_lock_conflicts f =
   | Lock.Cancelled -> raise (Conflict "cancelled")
 
 let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
-  let reg = reg_of t h in
-  let q = get_queue t h.h_queue in
+  let st = Base.state t in
+  let reg = reg_of st h in
+  let q = get_queue st h.h_queue in
   if q.stopped then raise (Stopped h.h_queue);
   if q.qattrs.strict_fifo then
     with_lock_conflicts (fun () ->
-        Lock.acquire t.locks id ~key:("q:" ^ q.qname) Lock.X);
+        Lock.acquire st.locks id ~key:("q:" ^ q.qname) Lock.X);
   let deadline =
-    match wait with Timeout d -> Some (t.clock () +. d) | No_wait | Block -> None
+    match wait with Timeout d -> Some (st.clock () +. d) | No_wait | Block -> None
   in
   let rec attempt () =
     match select_ready ?rank q filter with
-    | Some el -> Some (take t id h ~reg ?tag ?errq:error_queue q el)
+    | Some el -> Some (take t id h ~reg ?tag ?errq:error_queue el)
     | None -> begin
       match wait with
       | No_wait -> None
@@ -1076,8 +951,8 @@ let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
         attempt ()
       | Timeout _ -> begin
         match deadline with
-        | Some dl when t.clock () < dl ->
-          if Cond.wait_timeout q.nonempty (dl -. t.clock ()) then attempt ()
+        | Some dl when st.clock () < dl ->
+          if Cond.wait_timeout q.nonempty (dl -. st.clock ()) then attempt ()
           else None
         | _ -> None
       end
@@ -1086,11 +961,12 @@ let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
   attempt ()
 
 let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
+  let st = Base.state t in
   let queues =
-    List.map (fun h -> (h, reg_of t h, get_queue t h.h_queue)) hs
+    List.map (fun h -> (h, reg_of st h, get_queue st h.h_queue)) hs
   in
   let deadline =
-    match wait with Timeout d -> Some (t.clock () +. d) | No_wait | Block -> None
+    match wait with Timeout d -> Some (st.clock () +. d) | No_wait | Block -> None
   in
   let rec attempt () =
     let best =
@@ -1100,14 +976,14 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
           | None -> acc
           | Some el -> begin
             match acc with
-            | Some (_, _, _, best_el)
+            | Some (_, _, best_el)
               when Element.key best_el <= Element.key el -> acc
-            | _ -> Some (h, reg, q, el)
+            | _ -> Some (h, reg, el)
           end)
         None queues
     in
     match best with
-    | Some (h, reg, q, el) -> Some (h, take t id h ~reg ?tag q el)
+    | Some (h, reg, el) -> Some (h, take t id h ~reg ?tag el)
     | None -> begin
       let conds = List.map (fun (_, _, q) -> q.nonempty) queues in
       match wait with
@@ -1117,8 +993,8 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
         attempt ()
       | Timeout _ -> begin
         match deadline with
-        | Some dl when t.clock () < dl ->
-          if Cond.wait_any ~timeout:(dl -. t.clock ()) conds then attempt ()
+        | Some dl when st.clock () < dl ->
+          if Cond.wait_any ~timeout:(dl -. st.clock ()) conds then attempt ()
           else attempt () (* deadline re-checked at loop head *)
         | _ -> None
       end
@@ -1127,20 +1003,21 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
   attempt ()
 
 let read t eid =
-  match Eidtbl.find_opt t.index eid with
-  | Some (qn, el) ->
+  let st = Base.state t in
+  match Eidtbl.find_opt st.index eid with
+  | Some (q, el) ->
     if Rrq_obs.enabled () then
       Rrq_obs.Trace.emit
-        (Rrq_obs.Event.Read { qm = t.qm_name; queue = qn; found = true });
+        (Rrq_obs.Event.Read { qm = st.qm_name; queue = q.qname; found = true });
     Some el
   | None ->
     if Rrq_obs.enabled () then
       Rrq_obs.Trace.emit
-        (Rrq_obs.Event.Read { qm = t.qm_name; queue = ""; found = false });
+        (Rrq_obs.Event.Read { qm = st.qm_name; queue = ""; found = false });
     None
 
 let read_last t h =
-  match (reg_of t h).r_last with
+  match (reg_of (Base.state t) h).r_last with
   | Some { element_copy; _ } -> element_copy
   | None -> None
 
@@ -1148,159 +1025,53 @@ let read_last t h =
    (the site janitor) and before metric dumps, since age only decays as the
    clock advances, not on queue activity. *)
 let observe_queues t =
+  let st = Base.state t in
   if Rrq_obs.enabled () then
     Hashtbl.iter
       (fun qn q ->
         Rrq_obs.Metrics.set_gauge
-          (Printf.sprintf "qm.depth:%s/%s" t.qm_name qn)
+          (Printf.sprintf "qm.depth:%s/%s" st.qm_name qn)
           (float_of_int (queue_depth q));
         let age =
           match Emap.min_binding_opt q.elems with
-          | Some (_, el) -> t.clock () -. el.Element.enq_time
+          | Some (_, el) -> st.clock () -. el.Element.enq_time
           | None -> 0.0
         in
-        Rrq_obs.Metrics.set_gauge (Printf.sprintf "qm.age:%s/%s" t.qm_name qn) age)
-      t.queues
+        Rrq_obs.Metrics.set_gauge (Printf.sprintf "qm.age:%s/%s" st.qm_name qn) age)
+      st.queues
 
 (* ---- commitment ------------------------------------------------------ *)
 
-let release_locks t id =
-  Lock.cancel_waits t.locks id;
-  Lock.release_all t.locks id
+let release_locks st id =
+  Lock.cancel_waits st.locks id;
+  Lock.release_all st.locks id
 
 let commit_one_phase t id =
-  match ws_find t id with
-  | None -> release_locks t id
-  | Some ws ->
-    let ops = List.rev ws.ops in
-    ws_remove t id;
-    let any_volatile, pages = classify_ops t ops in
-    let stable =
-      if any_volatile then
-        List.filter (fun op -> redo_is_stable t op.op_redo) ops
-      else ops
-    in
-    if stable <> [] then append_record t k_one_phase (Some id) "" stable;
-    List.iter (fun op -> apply t op.op_redo) ops;
-    if stable <> [] then begin
-      Group_commit.force t.gc;
-      if pages <> [] then store_write t pages
-    end;
-    release_locks t id
-
-let prepare t id ~coordinator =
-  match ws_find t id with
-  | None -> true
-  | Some ws ->
-    let ops = List.rev ws.ops in
-    ws_remove t id;
-    let any_volatile, _pages = classify_ops t ops in
-    let stable =
-      if any_volatile then
-        List.filter (fun op -> redo_is_stable t op.op_redo) ops
-      else ops
-    in
-    append_record t k_prepare (Some id) coordinator stable;
-    Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops };
-    Group_commit.force t.gc;
-    true
-
-let commit_prepared t id =
-  match Hashtbl.find_opt t.prepared id with
-  | None -> release_locks t id
-  | Some p ->
-    (* Page targets must be resolved before apply removes dequeued
-       elements from the index. *)
-    let _, pages = classify_ops t p.p_ops in
-    append_record t k_commit (Some id) "" [];
-    List.iter (fun op -> apply t op.op_redo) p.p_ops;
-    Hashtbl.remove t.prepared id;
-    Group_commit.force t.gc;
-    if pages <> [] then store_write t pages;
-    release_locks t id
-
-(* Returning a dequeued element to its queue after an abort: bump its retry
-   count durably; if the limit is hit, move it to the error queue instead
-   (§4.2). *)
-let restore_element t op =
-  match op.op_redo with
-  | RDeq eid -> begin
-    match Eidtbl.find_opt t.index eid with
-    | None -> []
-    | Some (qn, el) ->
-      let q = get_queue t qn in
-      el.Element.status <- Element.Ready;
-      Cond.signal q.nonempty;
-      let bump = { op_redo = RBump eid; op_errq = None } in
-      if el.Element.delivery_count + 1 >= q.qattrs.retry_limit then begin
-        let errq =
-          match op.op_errq with Some e -> e | None -> default_error_queue q
-        in
-        let code =
-          Printf.sprintf "aborted %d times" (el.Element.delivery_count + 1)
-        in
-        [ bump; { op_redo = RMove_error (eid, errq, code); op_errq = None } ]
-      end
-      else [ bump ]
-  end
-  | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _ | RRegister _
-  | RDeregister _ | RSet_last _ | RIncarnation | RDestroy _ | RSet_stopped _
-  | RAlter _ ->
-    []
+  Base.commit_one_phase t id;
+  release_locks (Base.state t) id
 
 let abort t id =
-  let restore ops =
-    let fixups = List.concat_map (restore_element t) ops in
-    if fixups <> [] then log_now t fixups
-  in
-  (match ws_find t id with
-  | Some ws ->
-    ws_remove t id;
-    restore (List.rev ws.ops)
-  | None -> ());
-  (match Hashtbl.find_opt t.prepared id with
-  | Some p ->
-    append_record t k_abort (Some id) "" [];
-    Hashtbl.remove t.prepared id;
-    restore p.p_ops;
-    (* [restore]'s own force covers the abort record when there were
-       fixups; this one covers the bare-abort case (no-op otherwise). *)
-    Group_commit.force t.gc
-  | None -> ());
-  release_locks t id
+  Base.abort t id;
+  release_locks (Base.state t) id
 
-let participant t =
-  {
-    Tm.part_name = t.qm_name;
-    p_prepare = (fun id ~coordinator -> prepare t id ~coordinator);
-    p_commit =
-      (fun id ->
-        commit_prepared t id;
-        true);
-    p_abort = (fun id -> abort t id);
-    p_one_phase =
-      (fun id ->
-        commit_one_phase t id;
-        true);
-    p_has_work = (fun id -> ws_mem t id || Hashtbl.mem t.prepared id);
-    p_is_local = true;
-  }
+let participant t = Base.participant t ~release:release_locks
 
 let auto_commit t f =
-  t.auto_n <- t.auto_n + 1;
-  let id = Txid.make ~origin:t.auto_origin ~inc:t.incarnations ~n:t.auto_n in
-  let t0 = if Rrq_obs.enabled () then t.clock () else 0.0 in
+  let st = Base.state t in
+  st.auto_n <- st.auto_n + 1;
+  let id = Txid.make ~origin:st.auto_origin ~inc:st.incarnations ~n:st.auto_n in
+  let t0 = if Rrq_obs.enabled () then st.clock () else 0.0 in
   match f id with
   | v ->
     (* Only count transactions that buffered work: polling an empty queue
        auto-commits too, and counting those would skew commit rates. *)
-    let worked = ws_mem t id in
+    let worked = Base.has_workspace t id in
     commit_one_phase t id;
     if worked && Rrq_obs.enabled () then begin
-      Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ t.qm_name);
+      Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ st.qm_name);
       Rrq_obs.Metrics.observe
-        ("qm.commit.latency:" ^ t.qm_name)
-        (t.clock () -. t0)
+        ("qm.commit.latency:" ^ st.qm_name)
+        (st.clock () -. t0)
     end;
     v
   | exception e ->
@@ -1308,29 +1079,26 @@ let auto_commit t f =
     raise e
 
 let abort_stale t ~older_than =
-  let cutoff = t.clock () -. older_than in
-  let stale =
-    ws_fold t
-      (fun id ws acc -> if ws.activity < cutoff then id :: acc else acc)
-      []
-  in
+  let st = Base.state t in
+  let stale = Base.idle_workspaces t ~before:(st.clock () -. older_than) in
   List.iter
     (fun id ->
       abort t id;
-      t.abort_cb id)
+      st.abort_cb id)
     stale;
   List.length stale
 
 let kill_element t eid =
-  match Eidtbl.find_opt t.index eid with
+  let st = Base.state t in
+  match Eidtbl.find_opt st.index eid with
   | None -> false
   | Some (_, el) ->
     (match el.Element.status with
-    | Element.Deq_pending id -> t.abort_cb id
+    | Element.Deq_pending id -> st.abort_cb id
     | Element.Ready -> ());
     (* The abort may have moved it to an error queue; chase the eid. *)
-    if Eidtbl.mem t.index eid then begin
-      log_now t [ { op_redo = RKill eid; op_errq = None } ];
+    if Eidtbl.mem st.index eid then begin
+      log_now t (RKill eid);
       true
     end
     else false
@@ -1339,7 +1107,7 @@ let kill_where t filter =
   let victims =
     Eidtbl.fold
       (fun eid (_, el) acc -> if Filter.matches filter el then eid :: acc else acc)
-      t.index []
+      (Base.state t).index []
   in
   List.fold_left
     (fun n eid -> if kill_element t eid then n + 1 else n)
@@ -1347,73 +1115,21 @@ let kill_where t filter =
 
 (* ---- callbacks / maintenance ---------------------------------------- *)
 
-let in_doubt t =
-  Hashtbl.fold (fun id p acc -> (id, p.p_coord) :: acc) t.prepared []
+include (Base : Rm.SHARED with type t := t)
 
-let is_prepared t id = Hashtbl.mem t.prepared id
-
-let set_abort_callback t f = t.abort_cb <- f
-let set_alert_callback t f = t.alert_cb <- f
-let set_clock t f = t.clock <- f
-
-let checkpoint t = Wal.checkpoint t.wal (encode_snapshot t)
-
-let maybe_checkpoint t ~every =
-  if Wal.records_since_checkpoint t.wal >= every then checkpoint t
-
-(* ---- replication hooks (primary-backup WAL shipping) ------------------ *)
-
-let group_commit t = t.gc
-let snapshot_image t = encode_snapshot t
-
-(* The backup half of shipping (see Rrq_core.Ha and Rrq_txn.Rm): append the
-   shipped record verbatim into our OWN log, then replay it into memory —
-   the standby stays warm, and a backup crash recovers through the native
-   path. [replaying] suppresses alert callbacks and trigger side effects
-   exactly as recovery replay does. No locks are re-asserted: a standby
-   runs no competing transactions, and promotion resolves every in-doubt
-   entry before serving. *)
-let standby_apply t payload =
-  t.replaying <- true;
-  match
-    Group_commit.append t.gc payload;
-    replay_record t payload
-  with
-  | committed ->
-    t.replaying <- false;
-    committed
-  | exception e ->
-    t.replaying <- false;
-    raise e
-
-let standby_force t = Group_commit.force t.gc
-
-let standby_install t snap =
-  Hashtbl.reset t.queues;
-  Eidtbl.reset t.index;
-  Hashtbl.reset t.regs;
-  Hashtbl.reset t.workspaces;
-  Hashtbl.reset t.prepared;
-  t.ws_cache <- None;
-  t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () -> restore_snapshot t snap);
-  (* Restart our own log from the installed image. *)
-  Wal.checkpoint t.wal (encode_snapshot t)
+let set_abort_callback t f = (Base.state t).abort_cb <- f
+let set_alert_callback t f = (Base.state t).alert_cb <- f
+let set_clock t f = (Base.state t).clock <- f
 
 (* Durably open a fresh incarnation without reopening the repository — the
    promotion path: a new primary must never mint eids or auto-txids that
    collide with ones the old primary handed out. *)
-let bump_incarnation t =
-  log_now t [ { op_redo = RIncarnation; op_errq = None } ]
-
-let live_log_bytes t = Wal.live_log_bytes t.wal
+let bump_incarnation t = log_now t RIncarnation
 
 let counts t qn =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   (q.n_enq, q.n_deq)
 
 let elements t qn =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   Emap.fold (fun _ el acc -> el :: acc) q.elems [] |> List.rev

@@ -30,8 +30,9 @@
       group in a queue completes (all replies of a fork arrived) and
       replaces the group with new elements — the fork/join join-side.
 
-    Durability follows the deferred-update discipline of {!Rrq_txn.Rm}, with
-    two QM-specific twists: updates to volatile queues are applied at commit
+    The QM runs on {!Rrq_txn.Rm.Make}, which owns its log, workspaces,
+    2PC participation, recovery and standby replay; durability follows
+    that deferred-update discipline, with two QM-specific twists: updates to volatile queues are applied at commit
     but never logged, so they cost no forced writes and vanish on crash; and
     main-memory queues are fully recoverable but keep element payloads and
     queue order purely in memory — only their redo records hit the WAL,
@@ -253,13 +254,6 @@ val abort_stale : t -> older_than:float -> int
 
 (** {1 Callbacks installed by the hosting node} *)
 
-val in_doubt : t -> (Rrq_txn.Txid.t * string) list
-(** Prepared-but-unresolved transactions and their coordinators, for the
-    hosting node's resolver daemon. *)
-
-val is_prepared : t -> Rrq_txn.Txid.t -> bool
-(** The transaction is prepared here and not yet resolved. *)
-
 val set_abort_callback : t -> (Rrq_txn.Txid.t -> unit) -> unit
 (** How [kill_element] aborts the transaction holding an element (normally
     the node TM's force-abort). *)
@@ -275,10 +269,6 @@ val set_clock : t -> (unit -> float) -> unit
 
 (** {1 Maintenance and introspection} *)
 
-val checkpoint : t -> unit
-val maybe_checkpoint : t -> every:int -> unit
-val live_log_bytes : t -> int
-
 val counts : t -> string -> int * int
 (** (total committed enqueues, total committed dequeues) for a queue in
     this incarnation. *)
@@ -287,23 +277,13 @@ val elements : t -> string -> Element.t list
 (** Snapshot of a queue's current elements in dequeue order (tests and
     audits). *)
 
-(** {1 Replication hooks}
+(** {1 Recovery, checkpoints and replication}
 
-    The queue manager as a primary-backup replication endpoint (see
-    {!Rrq_core.Ha}). The primary ships its WAL records through
-    {!Rrq_wal.Group_commit.set_shipper} on {!group_commit}; the backup
-    applies them with {!standby_apply} (which also appends them to its own
-    log, so a backup crash recovers natively, and returns the txid a
-    shipped 2PC commit record committed) and makes each batch durable
-    with {!standby_force} before acknowledging. {!standby_install}
-    replaces the whole state from a primary {!snapshot_image} — the full
-    resync after a gap or role change. *)
+    The {!Rrq_txn.Rm.Make} surface, documented there: the in-doubt table
+    the hosting node's resolver daemon polls, log checkpoints, and the
+    primary-backup replication endpoint {!Rrq_core.Ha} drives. *)
 
-val group_commit : t -> Rrq_wal.Group_commit.t
-val snapshot_image : t -> string
-val standby_apply : t -> string -> Rrq_txn.Txid.t option
-val standby_force : t -> unit
-val standby_install : t -> string -> unit
+include Rrq_txn.Rm.SHARED with type t := t
 
 val bump_incarnation : t -> unit
 (** Durably open a fresh incarnation without reopening the repository —
