@@ -138,78 +138,124 @@ type policy =
   | Random_priority of int
   | Replay of decision array
 
-(* Picks and timer firings are coded as one non-negative int each: [Pick i]
-   as [2i], [Timer_fired seq] as [2*seq+1]. Faults carry a string and are
-   rare, so they live in a side list keyed by their position in the
-   decision sequence. *)
+(* The recent-decisions ring codes a pick or timer firing as one
+   non-negative int: [Pick i] as [2i], [Timer_fired seq] as [2*seq+1]. *)
 let enc_pick i = i lsl 1
 let enc_timer seq = (seq lsl 1) lor 1
 
 let dec code = if code land 1 = 0 then Pick (code lsr 1) else Timer_fired (code lsr 1)
 
-let encode = function
-  | Pick i when i >= 0 -> enc_pick i
-  | Timer_fired s when s >= 0 -> enc_timer s
-  | Fault _ -> invalid_arg "Sched.pack_trace: fault notes are not packed"
-  | Pick _ | Timer_fired _ -> invalid_arg "Sched.pack_trace: negative decision"
+(* The trace codec, shared by the live trace and [pack_trace]. Each token
+   is a varint whose first byte holds a continuation bit (0x80), five
+   payload bits and a two-bit tag; each later byte holds seven more
+   payload bits, low group first:
+   - tag 0: a run of [payload] consecutive [Pick 0];
+   - tag 1: [Pick payload], payload >= 1;
+   - tag 2: [Timer_fired], payload the zigzag-coded difference from the
+     previous firing's sequence number (from 0 for the first).
+   Under FIFO nearly every decision is [Pick 0], so a whole run between two
+   timer firings takes a byte or two. Payloads are 63-bit words read
+   unsigned, so any difference codes, in at most ten bytes. Faults carry a
+   string and are rare, so they live in a side list keyed by their position
+   in the decision sequence. *)
+module Trace_codec = struct
+  type w = {
+    bytes : Rrq_util.Chunked.t;
+    mutable run : int; (* [Pick 0]s not yet written as a run token *)
+    mutable last_timer : int;
+    mutable n : int; (* decisions recorded, the pending run included *)
+  }
 
-(* Decision codes packed as LEB128 varints: seven bits per byte, low group
-   first, the high bit set on every byte but the last. Under FIFO nearly
-   every decision is [Pick 0], a single byte. *)
-module Packed = struct
-  type t = { mutable buf : Bytes.t; mutable pos : int; mutable n : int }
+  let create () = { bytes = Rrq_util.Chunked.create (); run = 0; last_timer = 0; n = 0 }
 
-  let create () = { buf = Bytes.empty; pos = 0; n = 0 }
-
-  let rec put b code =
-    if code < 0x80 then begin
-      Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr code);
-      b.pos <- b.pos + 1
-    end
+  let token w tag payload =
+    let b = w.bytes in
+    let first = tag lor ((payload land 0x1f) lsl 2) and rest = ref (payload lsr 5) in
+    if !rest = 0 then Rrq_util.Chunked.add_char b (Char.unsafe_chr first)
     else begin
-      Bytes.unsafe_set b.buf b.pos (Char.unsafe_chr (code land 0x7f lor 0x80));
-      b.pos <- b.pos + 1;
-      put b (code lsr 7)
+      Rrq_util.Chunked.add_char b (Char.unsafe_chr (first lor 0x80));
+      while !rest >= 0x80 do
+        Rrq_util.Chunked.add_char b (Char.unsafe_chr (!rest land 0x7f lor 0x80));
+        rest := !rest lsr 7
+      done;
+      Rrq_util.Chunked.add_char b (Char.unsafe_chr !rest)
     end
 
-  (* A non-negative 63-bit code takes at most nine bytes. *)
-  let add b code =
-    if b.pos + 9 > Bytes.length b.buf then begin
-      let bigger = Bytes.create (max 256 (2 * Bytes.length b.buf)) in
-      Bytes.blit b.buf 0 bigger 0 b.pos;
-      b.buf <- bigger
-    end;
-    put b code;
-    b.n <- b.n + 1
+  let flush_run w =
+    if w.run > 0 then begin
+      token w 0 w.run;
+      w.run <- 0
+    end
 
-  (* [f i code] for every code in order, [i] counting from 0. *)
-  let iteri f buf len =
-    let pos = ref 0 and i = ref 0 in
+  let pick w i =
+    if i = 0 then w.run <- w.run + 1
+    else begin
+      flush_run w;
+      token w 1 i
+    end;
+    w.n <- w.n + 1
+
+  let timer w seq =
+    flush_run w;
+    let d = seq - w.last_timer in
+    w.last_timer <- seq;
+    token w 2 ((d lsl 1) lxor (d asr 62));
+    w.n <- w.n + 1
+
+  (* [f d] for every decision of the encoded string [s], in order. *)
+  let decode s f =
+    let len = String.length s and pos = ref 0 and last = ref 0 in
+    let byte () =
+      if !pos >= len then invalid_arg "Sched.unpack_trace: truncated varint";
+      let c = Char.code (String.unsafe_get s !pos) in
+      incr pos;
+      c
+    in
     while !pos < len do
-      let code = ref 0 and shift = ref 0 and more = ref true in
+      let first = byte () in
+      let payload = ref ((first lsr 2) land 0x1f) and shift = ref 5 in
+      let more = ref (first land 0x80 <> 0) in
       while !more do
-        let byte = Char.code (Bytes.get buf !pos) in
-        incr pos;
-        code := !code lor ((byte land 0x7f) lsl !shift);
+        let c = byte () in
+        payload := !payload lor ((c land 0x7f) lsl !shift);
         shift := !shift + 7;
-        more := byte land 0x80 <> 0
+        more := c land 0x80 <> 0
       done;
-      f !i !code;
-      incr i
+      match first land 3 with
+      | 0 ->
+        for _ = 1 to !payload do
+          f (Pick 0)
+        done
+      | 1 -> f (Pick !payload)
+      | 2 ->
+        last := !last + ((!payload lsr 1) lxor -(!payload land 1));
+        f (Timer_fired !last)
+      | _ -> invalid_arg "Sched.unpack_trace: unknown token"
+    done
+
+  (* Every decision recorded in [w], in order. *)
+  let iter w f =
+    decode (Rrq_util.Chunked.contents w.bytes) f;
+    for _ = 1 to w.run do
+      f (Pick 0)
     done
 end
 
 let pack_trace ds =
-  let b = Packed.create () in
-  Array.iter (fun d -> Packed.add b (encode d)) ds;
-  Bytes.sub_string b.buf 0 b.pos
+  let w = Trace_codec.create () in
+  Array.iter
+    (function
+      | Pick i when i >= 0 -> Trace_codec.pick w i
+      | Timer_fired s when s >= 0 -> Trace_codec.timer w s
+      | Fault _ -> invalid_arg "Sched.pack_trace: fault notes are not packed"
+      | Pick _ | Timer_fired _ -> invalid_arg "Sched.pack_trace: negative decision")
+    ds;
+  Trace_codec.flush_run w;
+  Rrq_util.Chunked.contents w.bytes
 
 let unpack_trace s =
-  let len = String.length s in
-  if len > 0 && Char.code s.[len - 1] land 0x80 <> 0 then
-    invalid_arg "Sched.unpack_trace: truncated varint";
   let acc = ref [] in
-  Packed.iteri (fun _ code -> acc := dec code :: !acc) (Bytes.unsafe_of_string s) len;
+  Trace_codec.decode s (fun d -> acc := d :: !acc);
   Array.of_list (List.rev !acc)
 
 let decision_to_string = function
@@ -263,11 +309,11 @@ and t = {
   pol : policy;
   prng : Rrq_util.Rng.t option; (* priority source for Random_priority *)
   mutable replay_pos : int; (* cursor into the Replay decision array *)
-  (* Decision trace: packed picks/timer firings up to [tr_limit], plus a
+  (* Decision trace: coded picks/timer firings up to [tr_limit], plus a
      side list of injected faults. [n_decisions] counts past the limit so
      truncation is detectable; [recent] is a ring of the last few codes for
      livelock diagnostics. *)
-  tr : Packed.t;
+  tr : Trace_codec.w;
   tr_limit : int;
   mutable n_decisions : int;
   mutable faults : (int * string) list; (* (position, label), newest first *)
@@ -294,7 +340,7 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
       | Random_priority seed -> Some (Rrq_util.Rng.create seed)
       | Fifo | Replay _ -> None);
     replay_pos = 0;
-    tr = Packed.create ();
+    tr = Trace_codec.create ();
     tr_limit = max 0 trace_limit;
     n_decisions = 0;
     faults = [];
@@ -311,11 +357,18 @@ let running = ref no_fiber
 
 let now t = t.vnow
 
-let record t code =
-  if t.tr.Packed.n < t.tr_limit then Packed.add t.tr code;
+let note_recent t code =
   t.recent.(t.n_decisions mod recent_size) <- code;
   t.recent_n <- min recent_size (t.recent_n + 1);
   t.n_decisions <- t.n_decisions + 1
+
+let record_pick t i =
+  if t.tr.Trace_codec.n < t.tr_limit then Trace_codec.pick t.tr i;
+  note_recent t (enc_pick i)
+
+let record_timer t seq =
+  if t.tr.Trace_codec.n < t.tr_limit then Trace_codec.timer t.tr seq;
+  note_recent t (enc_timer seq)
 
 let note_fault t label = t.faults <- (t.n_decisions, label) :: t.faults
 
@@ -334,15 +387,15 @@ let trace t =
       | _ -> continue_ := false
     done
   in
-  Packed.iteri
-    (fun i code ->
-      splice_up_to i;
-      acc := dec code :: !acc)
-    t.tr.Packed.buf t.tr.Packed.pos;
+  let i = ref 0 in
+  Trace_codec.iter t.tr (fun d ->
+      splice_up_to !i;
+      incr i;
+      acc := d :: !acc);
   splice_up_to max_int;
   Array.of_list (List.rev !acc)
 
-let trace_truncated t = t.n_decisions > t.tr.Packed.n
+let trace_truncated t = t.n_decisions > t.tr.Trace_codec.n
 
 let recent_decisions t =
   let n = t.recent_n in
@@ -442,34 +495,42 @@ let sleep_background d =
 let yield () =
   suspend (fun sched w -> push_ready sched (fun () -> ignore (wake w ())))
 
-let start t fib body =
-  let open Effect.Deep in
+(* One handler serves every fiber: it finds the fiber in the running-fiber
+   slot, which [run] points at the fiber before starting or resuming it, so
+   starting a fiber builds no handler record or closures of its own. *)
+let fiber_handler : (unit, unit) Effect.Deep.handler =
+  {
+    retc =
+      (fun () ->
+        let fib = !running in
+        fib.live <- false;
+        running := no_fiber);
+    exnc =
+      (fun e ->
+        let fib = !running in
+        fib.live <- false;
+        running := no_fiber;
+        (* An injected crash is a kill, not a program failure: the fiber
+           unwound exactly as a crashed process disappears. *)
+        match e with
+        | Crashpoint.Crash -> ()
+        | e -> fib.fsched.errors <- (fib.name, e) :: fib.fsched.errors);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+          Some
+            (fun (k : (a, _) Effect.Deep.continuation) ->
+              let fib = !running in
+              running := no_fiber;
+              register fib.fsched
+                { used = false; wfiber = fib; wk = k; deadline = Heap.dummy })
+        | _ -> None);
+  }
+
+let start fib body =
   running := fib;
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          fib.live <- false;
-          running := no_fiber);
-      exnc =
-        (fun e ->
-          fib.live <- false;
-          running := no_fiber;
-          (* An injected crash is a kill, not a program failure: the fiber
-             unwound exactly as a crashed process disappears. *)
-          match e with
-          | Crashpoint.Crash -> ()
-          | e -> t.errors <- (fib.name, e) :: t.errors);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                running := no_fiber;
-                register t { used = false; wfiber = fib; wk = k; deadline = Heap.dummy })
-          | _ -> None);
-    }
+  Effect.Deep.match_with body () fiber_handler
 
 let spawn t ?group ~name body =
   t.next_fid <- t.next_fid + 1;
@@ -481,7 +542,7 @@ let spawn t ?group ~name body =
   end;
   t.fiber_table <- fib :: t.fiber_table;
   t.n_fibers <- t.n_fibers + 1;
-  push_ready t (fun () -> if fib.live then start t fib body);
+  push_ready t (fun () -> if fib.live then start fib body);
   fib
 
 let fork ?name body =
@@ -575,7 +636,7 @@ let run ?(max_steps = 50_000_000) t =
           incr steps;
           if !steps > max_steps then failwith (limit_failure t);
           let i = pick_index t n in
-          record t (enc_pick i);
+          record_pick t i;
           let thunk = Ready.take t.ready i in
           thunk ()
         end
@@ -585,7 +646,7 @@ let run ?(max_steps = 50_000_000) t =
           if not e.bg then t.fg_timers <- t.fg_timers - 1;
           incr steps;
           if !steps > max_steps then failwith (limit_failure t);
-          record t (enc_timer e.seq);
+          record_timer t e.seq;
           e.thunk ()
         end
         else continue_ := false

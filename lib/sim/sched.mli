@@ -82,16 +82,21 @@ val trace_to_string : decision array -> string
 val trace_of_string : string -> decision array
 
 val pack_trace : decision array -> string
-(** The byte form {!trace} keeps internally: each [Pick i] as the code
-    [2i] and each [Timer_fired s] as [2s+1], written as LEB128 varints
-    (seven bits per byte, low group first, high bit set on every byte but
-    the last), so a FIFO pick takes one byte.
+(** The byte form {!trace} keeps internally, in 4 KiB chunks. Each token is
+    a varint: the first byte holds a continuation bit (0x80), five payload
+    bits and a two-bit tag, each later byte seven more payload bits, low
+    group first. Tag 0 is a run of [payload] consecutive [Pick 0], tag 1 is
+    [Pick payload] (payload >= 1), tag 2 is [Timer_fired] with the
+    zigzag-coded difference from the previous firing's sequence number
+    (from 0 for the first). A whole FIFO run between two timer firings
+    takes a byte or two.
     @raise Invalid_argument on a [Fault] (faults are kept apart) or a
     negative index. *)
 
 val unpack_trace : string -> decision array
 (** Inverse of {!pack_trace}.
-    @raise Invalid_argument if the last varint is cut short. *)
+    @raise Invalid_argument if the last varint is cut short or a token has
+    tag 3. *)
 
 val now : t -> float
 (** Current virtual time. *)

@@ -1,8 +1,12 @@
+module Chunked = Rrq_util.Chunked
+
+(* A file's bytes live in one chunk store: the first [durable] bytes
+   survive a crash, the rest are appended but not yet synced. *)
 type file_state = {
   fname : string;
   some_fname : string option; (* [Some fname], built once: appends note it *)
-  mutable durable : Buffer.t;
-  mutable pending : Buffer.t;
+  data : Chunked.t;
+  mutable durable : int;
   owner : t;
 }
 
@@ -58,8 +62,8 @@ let open_file t fname =
       {
         fname;
         some_fname = Some fname;
-        durable = Buffer.create 256;
-        pending = Buffer.create 256;
+        data = Chunked.create ();
+        durable = 0;
         owner = t;
       }
     in
@@ -75,14 +79,13 @@ let crash_now t =
   in
   Hashtbl.iter
     (fun fname f ->
+      let pending = Chunked.length f.data - f.durable in
       (match (torn_file, t.rng) with
-      | Some tf, Some rng when tf = fname && Buffer.length f.pending > 0 ->
+      | Some tf, Some rng when tf = fname && pending > 0 ->
         (* Keep a random prefix of the unsynced tail: a torn block. *)
-        let keep = Rrq_util.Rng.int rng (Buffer.length f.pending + 1) in
-        let prefix = String.sub (Buffer.contents f.pending) 0 keep in
-        Buffer.add_string f.durable prefix
+        f.durable <- f.durable + Rrq_util.Rng.int rng (pending + 1)
       | _ -> ());
-      Buffer.clear f.pending)
+      Chunked.truncate f.data f.durable)
     t.files;
   t.last_appended <- None
 
@@ -105,19 +108,19 @@ let allow_durability t =
 
 let append f bytes =
   if not f.owner.dead then begin
-    Buffer.add_string f.pending bytes;
+    Chunked.add_string f.data bytes;
     f.owner.last_appended <- f.some_fname
   end
 
 let append_i64 f v =
   if not f.owner.dead then begin
-    Buffer.add_int64_le f.pending v;
+    Chunked.add_int64_le f.data v;
     f.owner.last_appended <- f.some_fname
   end
 
 let append_sub f buf ~pos ~len =
   if not f.owner.dead then begin
-    Buffer.add_subbytes f.pending buf pos len;
+    Chunked.add_subbytes f.data buf ~pos ~len;
     f.owner.last_appended <- f.some_fname
   end
 
@@ -128,44 +131,42 @@ let append_sub f buf ~pos ~len =
    a log force: crash countdowns ([kill_after_syncs]) tick on [sync] only,
    and a write on a dead disk is lost exactly like an unsynced append. *)
 let read_page f page =
-  let n = min (Buffer.length f.durable) (Bytes.length page) in
-  if n > 0 then Buffer.blit f.durable 0 page 0 n
+  let n = min f.durable (Bytes.length page) in
+  Chunked.blit f.data ~src_pos:0 page ~dst_pos:0 ~len:n
 
+(* Truncating to 0 keeps the first chunk, so a page of up to one chunk is
+   rewritten in place without allocating. *)
 let write_page f page =
   let t = f.owner in
   if not t.dead then begin
-    Buffer.clear f.durable;
-    Buffer.add_bytes f.durable page;
-    Buffer.clear f.pending;
+    Chunked.truncate f.data 0;
+    Chunked.add_subbytes f.data page ~pos:0 ~len:(Bytes.length page);
+    f.durable <- Bytes.length page;
     t.synced_bytes <- t.synced_bytes + Bytes.length page
   end
 
 let sync f =
   let t = f.owner in
   if allow_durability t then begin
-    let n = Buffer.length f.pending in
-    if n > 0 then begin
-      Buffer.add_buffer f.durable f.pending;
-      Buffer.clear f.pending;
-      t.synced_bytes <- t.synced_bytes + n
-    end;
+    let n = Chunked.length f.data - f.durable in
+    f.durable <- Chunked.length f.data;
+    t.synced_bytes <- t.synced_bytes + n;
     t.sync_count <- t.sync_count + 1
   end
 
 let sync_all t = Hashtbl.iter (fun _ f -> sync f) t.files
 
-let read f = Buffer.contents f.durable ^ Buffer.contents f.pending
-let read_durable f = Buffer.contents f.durable
-let size f = Buffer.length f.durable + Buffer.length f.pending
-let durable_size f = Buffer.length f.durable
+let read f = Chunked.contents f.data
+let read_durable f = Chunked.sub_string f.data ~pos:0 ~len:f.durable
+let size f = Chunked.length f.data
+let durable_size f = f.durable
 
 let replace_atomic t fname contents =
   if allow_durability t then begin
     let f = open_file t fname in
-    let fresh = Buffer.create (String.length contents) in
-    Buffer.add_string fresh contents;
-    f.durable <- fresh;
-    Buffer.clear f.pending;
+    Chunked.truncate f.data 0;
+    Chunked.add_string f.data contents;
+    f.durable <- String.length contents;
     t.synced_bytes <- t.synced_bytes + String.length contents;
     t.sync_count <- t.sync_count + 1
   end

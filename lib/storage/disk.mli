@@ -9,7 +9,13 @@
 
     This is the substitution for real disks: it preserves the property the
     paper's recovery arguments depend on, namely that exactly the
-    force-written data survives a failure. *)
+    force-written data survives a failure.
+
+    A file keeps its bytes in fixed 4 KiB chunks ({!Rrq_util.Chunked}):
+    the synced prefix and the unsynced tail share one store, split at the
+    durable length. Growth allocates a chunk and copies nothing, so a file
+    holds at most one chunk of slack; a sync moves the split point and a
+    crash truncates to it. *)
 
 type t
 (** A disk (one per simulated node). *)
@@ -59,7 +65,8 @@ val append_sub : file -> Bytes.t -> pos:int -> len:int -> unit
 
 val read_page : file -> Bytes.t -> unit
 (** Copy the file's durable contents (up to [Bytes.length page]) into
-    [page] — the read half of a page-granular read-modify-write. *)
+    [page] — the read half of a page-granular read-modify-write. Allocates
+    nothing. *)
 
 val write_page : file -> Bytes.t -> unit
 (** Durably overwrite the file's entire contents with one page image — the
@@ -67,7 +74,8 @@ val write_page : file -> Bytes.t -> unit
     pays per modification, in contrast to the append-only log files. Does
     NOT count as a sync: crash countdowns ({!kill_after_syncs}) tick on
     {!sync} only. On a dead disk the write is silently lost, like any
-    unsynced append. *)
+    unsynced append. A page of up to one chunk (4096 bytes) is rewritten in
+    place and allocates nothing. *)
 
 val sync : file -> unit
 (** Force all buffered bytes of this file to durable storage. *)

@@ -419,26 +419,51 @@ let test_clock_allocation () =
     (Printf.sprintf "clock/in_fiber allocate nothing (%.2f words/call)" !per_call)
     true (!per_call < 0.5)
 
-(* The packed trace round-trips codes of every varint length, and a live
-   trace keeps exactly [trace_limit] decisions, the prefix of the full one. *)
+(* Fiber start shares one effect handler: a spawned fiber costs its record,
+   its table cell and its ready-queue thunk, not a handler record and three
+   closures of its own (42 words per spawn when each start built them). *)
+let test_spawn_allocation () =
+  let n = 10_000 in
+  let s = Sched.create () in
+  let body () = () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sched.spawn s ~name:"w" body)
+  done;
+  Sched.run s;
+  let per_spawn = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "spawn and run to completion under 30 words (%.2f words/spawn)" per_spawn)
+    true (per_spawn < 30.0)
+
+(* The packed trace round-trips tokens of every length, and a live trace
+   keeps exactly [trace_limit] decisions, the prefix of the full one. *)
 let test_packed_trace () =
   let ds =
     [|
-      Sched.Pick 0; Sched.Pick 63; Sched.Pick 64; Sched.Timer_fired (1 lsl 13);
-      Sched.Pick (1 lsl 27); Sched.Timer_fired (max_int lsr 1);
+      Sched.Pick 0; Sched.Pick 0; Sched.Pick 0; Sched.Pick 31; Sched.Pick 32;
+      Sched.Timer_fired (1 lsl 13); Sched.Timer_fired 5; Sched.Pick (1 lsl 27);
+      Sched.Timer_fired (max_int lsr 1);
     |]
   in
   let packed = Sched.pack_trace ds in
-  (* codes 0, 126, 128 (2^7), 2^14+1, 2^28, max_int *)
-  Alcotest.(check int) "varint lengths" (1 + 1 + 2 + 3 + 5 + 9) (String.length packed);
+  (* A run of three [Pick 0] is one token. Payloads: 3, 31, 32, zigzag
+     deltas 2^14 and 16373, 2^27, then 2^62 - 12: five bits in the first
+     byte, seven in each later one. *)
+  Alcotest.(check int) "token lengths" (1 + 1 + 2 + 3 + 3 + 5 + 10) (String.length packed);
   Alcotest.(check string) "roundtrip" (Sched.trace_to_string ds)
     (Sched.trace_to_string (Sched.unpack_trace packed));
+  Alcotest.(check int) "a FIFO run of 1000 picks is two bytes" 2
+    (String.length (Sched.pack_trace (Array.make 1000 (Sched.Pick 0))));
   Alcotest.check_raises "faults are not packed"
     (Invalid_argument "Sched.pack_trace: fault notes are not packed") (fun () ->
       ignore (Sched.pack_trace [| Sched.Fault "x" |]));
   Alcotest.check_raises "cut-short varint"
     (Invalid_argument "Sched.unpack_trace: truncated varint") (fun () ->
       ignore (Sched.unpack_trace (String.sub packed 0 (String.length packed - 1))));
+  Alcotest.check_raises "unknown token"
+    (Invalid_argument "Sched.unpack_trace: unknown token") (fun () ->
+      ignore (Sched.unpack_trace "\003"));
   (* Timer seqs past 2^14 and, under random priority, picks past 2^6, so
      multi-byte codes occur in a live trace. *)
   let program ?trace_limit policy =
@@ -477,6 +502,44 @@ let test_packed_trace () =
   Alcotest.(check string) "replay re-records the same trace"
     (Sched.trace_to_string trace) (Sched.trace_to_string (Sched.trace replayed))
 
+(* A live trace that fills several 4 KiB chunks under random priority,
+   with picks past 0 and timers that fire out of sequence order (negative
+   deltas), replays to the same outcome. *)
+let test_live_trace_chunks () =
+  let program policy =
+    let s = Sched.create ~policy () in
+    let order = ref [] in
+    for i = 1 to 5_000 do
+      ignore
+        (Sched.spawn s ~name:"w" (fun () ->
+             Sched.sleep (float_of_int ((i * 7919) mod 13));
+             Sched.yield ();
+             order := i :: !order))
+    done;
+    Sched.run s;
+    (s, List.rev !order)
+  in
+  let s, order = program (Sched.Random_priority 11) in
+  let trace = Sched.trace s in
+  let bytes = String.length (Sched.pack_trace trace) in
+  Alcotest.(check bool) (Printf.sprintf "several chunks (%d bytes)" bytes) true
+    (bytes > 3 * 4096);
+  Alcotest.(check bool) "picks past 0" true
+    (Array.exists (function Sched.Pick i -> i > 0 | _ -> false) trace);
+  let rec has_drop = function
+    | a :: (b :: _ as rest) -> b < a || has_drop rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "negative timer deltas" true (has_drop (timer_fired trace));
+  Alcotest.(check string) "pack/unpack keeps the live trace"
+    (Sched.trace_to_string trace)
+    (Sched.trace_to_string (Sched.unpack_trace (Sched.pack_trace trace)));
+  let r, replayed_order = program (Sched.Replay trace) in
+  Alcotest.(check (list int)) "replay: same completion order" order replayed_order;
+  Alcotest.(check string) "replay: same trace" (Sched.trace_to_string trace)
+    (Sched.trace_to_string (Sched.trace r));
+  Alcotest.(check (float 0.0)) "replay: same end time" (Sched.now s) (Sched.now r)
+
 let suite =
   [
     Alcotest.test_case "sleep ordering" `Quick test_sleep_order;
@@ -504,7 +567,9 @@ let suite =
       test_removed_deadlines_cond_chan;
     Alcotest.test_case "running-fiber slot" `Quick test_running_fiber_slot;
     Alcotest.test_case "clock allocation bound" `Quick test_clock_allocation;
+    Alcotest.test_case "spawn allocation bound" `Quick test_spawn_allocation;
     Alcotest.test_case "packed trace" `Quick test_packed_trace;
+    Alcotest.test_case "live trace across chunks" `Quick test_live_trace_chunks;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]

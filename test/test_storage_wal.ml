@@ -45,6 +45,105 @@ let test_disk_counters () =
   Disk.reset_counters d;
   Alcotest.(check int) "reset" 0 (Disk.synced_bytes d)
 
+(* A file keeps its bytes in 4 KiB chunks. Appends that straddle chunk
+   boundaries, in every append form, read back whole, and sync, crash and
+   the size queries see one contiguous file. *)
+let test_disk_chunk_boundaries () =
+  let d = Disk.create "d0" in
+  let f = Disk.open_file d "log" in
+  let expect = Buffer.create 10_000 in
+  let add s =
+    Disk.append f s;
+    Buffer.add_string expect s
+  in
+  add (String.make 4090 'a');
+  (* 8 bytes across the first boundary *)
+  Disk.append_i64 f 0x0102030405060708L;
+  Buffer.add_int64_le expect 0x0102030405060708L;
+  let b = Bytes.init 5000 (fun i -> Char.chr (i land 0xff)) in
+  Disk.append_sub f b ~pos:7 ~len:4200;
+  Buffer.add_subbytes expect b 7 4200;
+  Disk.sync f;
+  let synced = Buffer.contents expect in
+  add (String.make 300 'z');
+  Alcotest.(check string) "read: synced plus pending" (Buffer.contents expect) (Disk.read f);
+  Alcotest.(check string) "read_durable: synced only" synced (Disk.read_durable f);
+  Alcotest.(check int) "size" (Buffer.length expect) (Disk.size f);
+  Alcotest.(check int) "durable_size" (String.length synced) (Disk.durable_size f);
+  Alcotest.(check (option int)) "file_size" (Some (Buffer.length expect)) (Disk.file_size d "log");
+  Alcotest.(check int) "synced bytes" (String.length synced) (Disk.synced_bytes d);
+  Disk.crash d;
+  Alcotest.(check string) "crash drops the pending tail" synced (Disk.read f);
+  add "after";
+  Disk.sync f;
+  Alcotest.(check string) "append after a crash" (synced ^ "after") (Disk.read_durable f)
+
+(* A torn write keeps a prefix of the unsynced tail, also when that tail
+   crosses a chunk boundary. *)
+let test_disk_torn_across_chunks () =
+  let base = String.make 4000 'd' and tail = String.init 300 (fun i -> Char.chr (65 + (i mod 26))) in
+  let crossed = ref 0 in
+  for seed = 0 to 39 do
+    let d = Disk.create ~torn_writes:true ~rng:(Rng.create seed) "d0" in
+    let f = Disk.open_file d "log" in
+    Disk.append f base;
+    Disk.sync f;
+    Disk.append f tail;
+    Disk.crash d;
+    let got = Disk.read f in
+    let n = String.length got in
+    Alcotest.(check bool) "between the synced part and the whole" true
+      (n >= 4000 && n <= 4300);
+    Alcotest.(check string) "a prefix of what was appended"
+      (String.sub (base ^ tail) 0 n) got;
+    Alcotest.(check int) "the kept prefix is durable" n (Disk.durable_size f);
+    if n > Rrq_util.Chunked.chunk_size && n < 4300 then incr crossed
+  done;
+  Alcotest.(check bool) "some torn prefix ends past the boundary" true (!crossed > 0)
+
+(* A page rewrite and read-back copy one page and allocate nothing. *)
+let test_disk_page_roundtrip () =
+  let d = Disk.create "d0" in
+  let f = Disk.open_file d "q.page" in
+  Disk.append f "unsynced";
+  let page = Bytes.make 4096 'p' and back = Bytes.make 4096 '\000' in
+  Bytes.set page 4095 'e';
+  Disk.write_page f page;
+  Disk.read_page f back;
+  Alcotest.(check bytes) "round trip" page back;
+  Alcotest.(check int) "a page replaces pending bytes" 4096 (Disk.size f);
+  Alcotest.(check int) "durable at once" 4096 (Disk.durable_size f);
+  let short = Bytes.make 10 '\000' in
+  Disk.read_page f short;
+  Alcotest.(check string) "short read copies a prefix" (String.make 10 'p') (Bytes.to_string short);
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Bytes.unsafe_set page 0 (Char.unsafe_chr (i land 0xff));
+    Disk.write_page f page;
+    Disk.read_page f back
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
+  Alcotest.(check bool) (Printf.sprintf "no allocation (%.2f words/op)" per_op) true (per_op < 0.5);
+  Alcotest.(check bytes) "last write read back" page back;
+  Disk.crash d;
+  Disk.read_page f back;
+  Alcotest.(check bytes) "a written page survives a crash" page back
+
+(* An atomic replace swaps a multi-chunk file for shorter contents and
+   drops any pending tail. *)
+let test_disk_replace_shrinks () =
+  let d = Disk.create "d0" in
+  let f = Disk.open_file d "ck" in
+  Disk.append f (String.make 9000 'x');
+  Disk.sync f;
+  Disk.append f "pending";
+  Disk.replace_atomic d "ck" "v2";
+  Alcotest.(check string) "replaced" "v2" (Disk.read f);
+  Alcotest.(check int) "durable" 2 (Disk.durable_size f);
+  Disk.crash d;
+  Alcotest.(check (option string)) "survives a crash" (Some "v2") (Disk.read_file d "ck")
+
 (* --- WAL ----------------------------------------------------------- *)
 
 let test_wal_roundtrip () =
@@ -357,6 +456,12 @@ let suite =
     Alcotest.test_case "disk: atomic replace" `Quick test_disk_atomic_replace;
     Alcotest.test_case "disk: delete/list" `Quick test_disk_delete_and_list;
     Alcotest.test_case "disk: counters" `Quick test_disk_counters;
+    Alcotest.test_case "disk: appends across chunk boundaries" `Quick test_disk_chunk_boundaries;
+    Alcotest.test_case "disk: torn write across a chunk boundary" `Quick
+      test_disk_torn_across_chunks;
+    Alcotest.test_case "disk: page round trip allocates nothing" `Quick test_disk_page_roundtrip;
+    Alcotest.test_case "disk: atomic replace of a multi-chunk file" `Quick
+      test_disk_replace_shrinks;
     Alcotest.test_case "wal: roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal: append routes write identical bytes" `Quick
       test_wal_append_routes_identical;
