@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work. See doc/CI.md.
 
-.PHONY: all build test quick-test lint lint-graph witness fingerprint check sim ha-check shard-check stats bench bench-smoke perfbench-smoke clean
+.PHONY: all build test quick-test lint lint-graph witness fingerprint check sim ha-check shard-check stats bench bench-smoke perfbench-smoke perfbench-det clean
 
 all: build
 
@@ -100,6 +100,22 @@ perfbench-smoke:
 	    || { echo "perfbench-smoke: $$w: not correct"; exit 1; }; \
 	  echo "perfbench-smoke: $$w: correct"; \
 	done
+
+# The repository benchmark's deterministic end-to-end columns: every
+# workload for 1 s with tracing off on seeds 1, 2 and 7, one line each. Two
+# trees that behave alike print identical lines; the host-time columns
+# (setup_s, host_us_per_req) are left out because they vary run to run.
+# Fails unless each run reports "correct": true.
+perfbench-det:
+	@for w in local sharded_2pc ha_hot; do for s in 1 2 7; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed $$s --seconds 1 --trace 0) || exit 1; \
+	  echo "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+	    d = json.load(sys.stdin); m = d["metrics"]; \
+	    cols = ["alloc_words_per_req", "heap_peak_mb", "lat_p50_ms", "lat_p99_ms", "throughput_rps"]; \
+	    print(sys.argv[1], "seed", sys.argv[2], "correct", d["correct"], "failed", d["failed"], \
+	      " ".join("%s=%.6g" % (c, m[c]["value"]) for c in cols)); \
+	    sys.exit(0 if d["correct"] else 1)' $$w $$s || exit 1; \
+	done; done
 
 clean:
 	dune clean

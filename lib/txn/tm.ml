@@ -225,9 +225,38 @@ let redeliver t id resolve =
   in
   loop ()
 
+(* One 2PC phase: [call p] at every participant, concurrently, returning
+   those for which it came back [false] (a No vote, an unacknowledged
+   commit). Each call but the first runs in a fiber forked into the
+   caller's node group, so it dies with the node; the caller runs the first
+   inline, then parks on the join until the last call returns. Outside a
+   fiber (recovery drivers, crash tests) the calls run one after another. *)
+type join = {
+  mutable left : int;
+  mutable failed : participant list;
+  mutable waiter : unit Sched.waker option;
+}
+
+let phase call parts =
+  match parts with
+  | first :: (_ :: _ as rest) when Sched.in_fiber () ->
+    let j = { left = List.length parts; failed = []; waiter = None } in
+    let settle p ok =
+      if not ok then j.failed <- p :: j.failed;
+      j.left <- j.left - 1;
+      if j.left = 0 then Option.iter (fun w -> ignore (Sched.wake w ())) j.waiter
+    in
+    List.iter
+      (fun p -> ignore (Sched.fork ~name:"tm.phase" (fun () -> settle p (call p))))
+      rest;
+    settle first (call first);
+    if j.left > 0 then Sched.suspend (fun _ w -> j.waiter <- Some w);
+    j.failed
+  | _ -> List.filter (fun p -> not (call p)) parts
+
 let deliver_commits t id parts =
   let unacked =
-    List.filter (fun p -> not (Swallow.run ~default:false (fun () -> p.p_commit id))) parts
+    phase (fun p -> Swallow.run ~default:false (fun () -> p.p_commit id)) parts
   in
   if unacked = [] then log_end t id
   else begin
@@ -311,14 +340,14 @@ let commit t txn =
       end
     | _ :: _ ->
       Hashtbl.replace t.deciding txn.id [];
-      let all_yes =
-        List.for_all
+      let no_votes =
+        phase
           (fun p ->
             Swallow.run ~default:false (fun () ->
                 p.p_prepare txn.id ~coordinator:t.tm_name))
           parts
       in
-      if not all_yes then begin
+      if no_votes <> [] then begin
         Hashtbl.remove t.deciding txn.id;
         List.iter (fun p -> Swallow.unit (fun () -> p.p_abort txn.id)) parts;
         abort_done ();

@@ -10,6 +10,26 @@
       transaction implicitly, and in-doubt participants that cannot find a
       logged decision are told to abort.
 
+    The two phases run concurrently across participants. Every
+    participant's prepare is issued at once and the coordinator joins them
+    before deciding; likewise every commit delivery. Each call but the
+    first runs in a fiber forked into the caller's node group under the
+    name ["tm.phase"], so a node crash kills the phase fibers with their
+    coordinator; the first runs inline. Overlapped forces on one device
+    share group-commit batches, and a remote participant's round trip
+    overlaps the local forces. Outside a fiber the calls run one after
+    another.
+
+    A [No] vote (or an unreachable participant) still aborts every
+    participant. All prepares run to completion even after a [No], so a
+    participant that voted yes is prepared when the abort reaches it;
+    aborts are idempotent and resolve it. A crash while prepares are in
+    flight leaves no decision: prepared participants find none and
+    resolve presumed-abort. A crash while commit deliveries are in flight
+    leaves the decision pending, and recovery redelivers to every
+    participant it names, acknowledged or not (a repeated commit is
+    acknowledged).
+
     The coordinator log also drives {e commit redelivery}: once a commit
     decision is logged, delivery to every participant is retried (across
     coordinator restarts, via {!set_resolver} + {!recover_pending}) until

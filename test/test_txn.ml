@@ -400,14 +400,19 @@ let test_tm_two_rm_commit () =
       Alcotest.(check (option string)) "y" (Some "2") (Kvdb.committed_value kvb "y");
       Alcotest.(check (list pass)) "nothing pending" [] (Tm.pending_decisions tm))
 
+(* A No vote aborts every participant. The prepares run concurrently, so
+   the yes-voting store after the naysayer prepares too; the abort must
+   leave it with nothing in doubt. *)
 let test_tm_vote_no_aborts_all () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n1" in
       let tm = Tm.open_tm disk ~name:"tm1" in
       let kva = Kvdb.open_kv disk ~name:"kva" in
+      let kvb = Kvdb.open_kv disk ~name:"kvb" in
       let txn = Tm.begin_txn tm in
       let id = Tm.txn_id txn in
       Kvdb.put kva id "x" "1";
+      Kvdb.put kvb id "y" "2";
       Tm.join txn (Kvdb.participant kva);
       Tm.join txn
         {
@@ -419,11 +424,27 @@ let test_tm_vote_no_aborts_all () =
           p_has_work = (fun _ -> true);
           p_is_local = true;
         };
+      let pb = Kvdb.participant kvb in
+      let b_voted = ref false in
+      Tm.join txn
+        {
+          pb with
+          Tm.p_prepare =
+            (fun tid ~coordinator ->
+              let vote = pb.Tm.p_prepare tid ~coordinator in
+              b_voted := vote;
+              vote);
+        };
       (match Tm.commit tm txn with
       | Tm.Aborted -> ()
       | Tm.Committed -> Alcotest.fail "must abort");
       Alcotest.(check (option string)) "x discarded" None
-        (Kvdb.committed_value kva "x"))
+        (Kvdb.committed_value kva "x");
+      Alcotest.(check bool) "the store after the naysayer voted yes" true !b_voted;
+      Alcotest.(check (option string)) "y discarded" None (Kvdb.committed_value kvb "y");
+      Alcotest.(check bool) "nothing in doubt at kvb" true
+        (Kvdb.in_doubt kvb = [] && not (Kvdb.is_prepared kvb id));
+      Alcotest.(check bool) "nothing in doubt at kva" true (Kvdb.in_doubt kva = []))
 
 let test_tm_coordinator_crash_before_decision_presumes_abort () =
   H.run_fiber (fun () ->
@@ -528,6 +549,164 @@ let test_tm_recover_pending_after_crash () =
   in
   Alcotest.(check bool) "retired after recovery" true !retired;
   Alcotest.(check (option string)) "kvb eventually applied" (Some "2") !final
+
+(* --- Overlapped 2PC phases -------------------------------------------- *)
+
+let phase_fibers s =
+  List.filter (fun n -> n = "tm.phase") (Sched.live_fibers s)
+
+(* Whether some file of [disk] holds appended bytes not yet synced: a log
+   force is under way. *)
+let force_in_flight disk =
+  List.exists
+    (fun f ->
+      let h = Disk.open_file disk f in
+      Disk.size h > Disk.durable_size h)
+    (Disk.list_files disk)
+
+(* Stores on devices of their own: [kva] syncs in 1 s, [kvb] in 3 s and
+   [kvc] in 2 s; the TM's device takes 1 s. *)
+let overlap_world () =
+  ( Disk.create ~sync_latency:1.0 "tmdisk",
+    Disk.create ~sync_latency:1.0 "fast",
+    Disk.create ~sync_latency:3.0 "slow",
+    Disk.create ~sync_latency:2.0 "mid" )
+
+let open_overlap (dt, da, db, dc) =
+  ( Tm.open_tm dt ~name:"tm1",
+    Kvdb.open_kv da ~name:"kva",
+    Kvdb.open_kv db ~name:"kvb",
+    Kvdb.open_kv dc ~name:"kvc" )
+
+let crash_all (dt, da, db, dc) = List.iter Disk.crash [ dt; da; db; dc ]
+
+(* Crash while one prepare is durable and the others are parked in their
+   forces: the slow store's inline, the middle one's in a forked phase
+   fiber. No decision was logged, so after restart the prepared store
+   resolves presumed-abort and nothing is in doubt anywhere. *)
+let test_tm_crash_mid_prepare () =
+  let ((_, da, db, dc) as disks) = overlap_world () in
+  let at_crash = ref [] and after = ref [] in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~group:"inc1" ~name:"flow1" (fun () ->
+               let tm, kva, kvb, kvc = open_overlap disks in
+               let txn = Tm.begin_txn tm in
+               let tid = Tm.txn_id txn in
+               List.iter
+                 (fun kv ->
+                   Kvdb.put kv tid "k" (Kvdb.name kv);
+                   Tm.join txn (Kvdb.participant kv))
+                 [ kvb; kva; kvc ];
+               (* kvb's prepare runs inline and ends 3 s from now; the
+                  forked ones end after 1 s (kva) and 2 s (kvc). *)
+               Sched.at s (Sched.clock () +. 1.5) (fun () ->
+                   at_crash :=
+                     [
+                       ("kva prepared", Kvdb.is_prepared kva tid);
+                       ("kva's prepare durable", not (force_in_flight da));
+                       ("kvb parked in its prepare force", force_in_flight db);
+                       ("kvc parked in its prepare force", force_in_flight dc);
+                       ("decision pending", Tm.decision tm tid = `Pending);
+                       ("a phase fiber is live", phase_fibers s <> []);
+                     ];
+                   Sched.kill_group s "inc1";
+                   crash_all disks;
+                   after := [ ("no phase fiber after the crash", phase_fibers s = []) ];
+                   ignore
+                     (Sched.spawn s ~group:"inc2" ~name:"flow2" (fun () ->
+                          let tm2, kva2, kvb2, kvc2 = open_overlap disks in
+                          let stores = [ kva2; kvb2; kvc2 ] in
+                          let in_doubt kv = List.map fst (Kvdb.in_doubt kv) in
+                          after :=
+                            !after
+                            @ [
+                                ("no decision", Tm.decision tm2 tid = `Aborted);
+                                ("kva in doubt", in_doubt kva2 = [ tid ]);
+                                ("kvb, kvc never prepared", in_doubt kvb2 = [] && in_doubt kvc2 = []);
+                              ];
+                          (* Presumed abort: the resolver aborts each doubt. *)
+                          List.iter
+                            (fun kv ->
+                              List.iter
+                                (fun (d, _) -> (Kvdb.participant kv).Tm.p_abort d)
+                                (Kvdb.in_doubt kv))
+                            stores;
+                          after :=
+                            !after
+                            @ [
+                                ("nothing in doubt", List.for_all (fun kv -> in_doubt kv = []) stores);
+                                ( "nothing committed",
+                                  List.for_all (fun kv -> Kvdb.committed_value kv "k" = None) stores );
+                                ("no pending decisions", Tm.pending_decisions tm2 = []);
+                              ])));
+               ignore (Tm.commit tm txn);
+               Alcotest.fail "the crash must stop the commit")))
+  in
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) (!at_crash @ !after);
+  Alcotest.(check int) "every check ran" 13 (List.length (!at_crash @ !after))
+
+(* Crash after one store acknowledged its commit while the other's commit
+   force is parked in a forked phase fiber. The decision is durable, so
+   recovery redelivers to both (a repeated commit is acknowledged) and
+   retires it. *)
+let test_tm_crash_mid_delivery () =
+  let ((_, _, db, _) as disks) = overlap_world () in
+  let at_crash = ref [] and after = ref [] in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~group:"inc1" ~name:"flow1" (fun () ->
+               let tm, kva, kvb, _ = open_overlap disks in
+               let txn = Tm.begin_txn tm in
+               let tid = Tm.txn_id txn in
+               Kvdb.put kva tid "x" "1";
+               Kvdb.put kvb tid "y" "2";
+               Tm.join txn (Kvdb.participant kva);
+               Tm.join txn (Kvdb.participant kvb);
+               (* Prepares end at +3, the decision force at +4, kva's
+                  commit (inline) at +5 and kvb's (forked) at +7. *)
+               Sched.at s (Sched.clock () +. 5.5) (fun () ->
+                   at_crash :=
+                     [
+                       ("decided", Tm.decision tm tid = `Committed);
+                       ("kva acknowledged", Kvdb.committed_value kva "x" = Some "1");
+                       ("kvb parked in its commit force", force_in_flight db);
+                       ("a phase fiber is live", phase_fibers s <> []);
+                     ];
+                   Sched.kill_group s "inc1";
+                   crash_all disks;
+                   after := [ ("no phase fiber after the crash", phase_fibers s = []) ];
+                   ignore
+                     (Sched.spawn s ~group:"inc2" ~name:"flow2" (fun () ->
+                          let tm2, kva2, kvb2, _ = open_overlap disks in
+                          Tm.set_resolver tm2 (fun pname ->
+                              if pname = "kva" then Some (Kvdb.participant kva2)
+                              else if pname = "kvb" then Some (Kvdb.participant kvb2)
+                              else None);
+                          after :=
+                            !after
+                            @ [
+                                ("decision recovered", Tm.pending_decisions tm2 = [ tid ]);
+                                ("kvb in doubt", List.map fst (Kvdb.in_doubt kvb2) = [ tid ]);
+                                ("kvb's commit lost", Kvdb.committed_value kvb2 "y" = None);
+                              ];
+                          Tm.recover_pending tm2;
+                          Sched.sleep 10.0;
+                          after :=
+                            !after
+                            @ [
+                                ("retired", Tm.pending_decisions tm2 = []);
+                                ("x committed", Kvdb.committed_value kva2 "x" = Some "1");
+                                ("y committed", Kvdb.committed_value kvb2 "y" = Some "2");
+                                ("nothing in doubt", Kvdb.in_doubt kvb2 = []);
+                              ])));
+               ignore (Tm.commit tm txn);
+               Alcotest.fail "the crash must stop the delivery")))
+  in
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) (!at_crash @ !after);
+  Alcotest.(check int) "every check ran" 12 (List.length (!at_crash @ !after))
 
 let test_tm_empty_and_single () =
   H.run_fiber (fun () ->
@@ -775,6 +954,10 @@ let tm_suite =
       test_tm_decision_survives_crash_and_redelivers;
     Alcotest.test_case "recover_pending after crash" `Quick
       test_tm_recover_pending_after_crash;
+    Alcotest.test_case "crash with one prepare durable, one in flight" `Quick
+      test_tm_crash_mid_prepare;
+    Alcotest.test_case "crash after one commit acknowledgment" `Quick
+      test_tm_crash_mid_delivery;
     Alcotest.test_case "empty + single participant" `Quick test_tm_empty_and_single;
     Alcotest.test_case "abort releases" `Quick test_tm_abort_releases;
     Alcotest.test_case "hooks" `Quick test_tm_hooks;
