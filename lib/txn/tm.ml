@@ -231,7 +231,7 @@ let redeliver t id resolve =
    caller's node group, so it dies with the node; the caller runs the first
    inline, then parks on the join until the last call returns. Outside a
    fiber (recovery drivers, crash tests) the calls run one after another. *)
-type join = {
+type phase_join = {
   mutable left : int;
   mutable failed : participant list;
   mutable waiter : unit Sched.waker option;
